@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier docs lint vet fmt ci clean
+.PHONY: all build test golden race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier docs lint vet fmt ci clean
 
 all: build test
 
@@ -13,6 +13,11 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# Every experiment's output must not depend on the host's core count:
+# the golden test again on one core (the test target runs on all).
+golden:
+	GOMAXPROCS=1 $(GO) test -run TestGolden ./internal/experiments
 
 race:
 	$(GO) test -race ./...
@@ -105,7 +110,7 @@ vet:
 fmt:
 	gofmt -w .
 
-ci: build lint docs test race fuzz-smoke bench
+ci: build lint docs test golden race fuzz-smoke bench
 
 clean:
 	$(GO) clean ./...

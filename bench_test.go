@@ -296,11 +296,12 @@ func BenchmarkAllocNUMA(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocContended hammers Alloc/touch/Free from one goroutine per
-// virtual CPU over a working set larger than the cache — the workload the
-// sharded engine exists for.  Wall-clock ns/op measures real lock
-// contention between the goroutines; the reported metrics expose the
-// shootdown traffic the simulated machine observed.
+// BenchmarkAllocContended hammers Alloc/touch/Free from every virtual CPU
+// over a working set larger than the cache — the workload the sharded
+// engine exists for.  The deterministic churn driver steps the CPUs
+// round-robin on one goroutine, so wall-clock ns/op is the simulator's
+// own cost; the reported metrics expose the lock and shootdown traffic
+// the simulated machine observed.
 func BenchmarkAllocContended(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -326,7 +327,7 @@ func BenchmarkAllocContended(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			done, err := experiments.Churn(k, pages, b.N)
+			done, err := experiments.Churn(k, b.N, experiments.SharedWorkload(k, pages, 1, experiments.PathSingle))
 			b.StopTimer()
 			if err != nil {
 				b.Fatal(err)
@@ -386,12 +387,11 @@ func BenchmarkAllocBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			var done int
+			w := experiments.SharedWorkload(k, pages, 1, experiments.PathSingle)
 			if c.batched {
-				done, err = experiments.ChurnBatch(k, pages, b.N, batch)
-			} else {
-				done, err = experiments.Churn(k, pages, b.N)
+				w = experiments.SharedWorkload(k, pages, batch, experiments.PathBatch)
 			}
+			done, err := experiments.Churn(k, b.N, w)
 			b.StopTimer()
 			if err != nil {
 				b.Fatal(err)
@@ -429,12 +429,12 @@ func BenchmarkAllocRun(b *testing.B) {
 		name  string
 		mk    kernel.MapperKind
 		cache kernel.CachePolicy
-		mode  string
+		path  experiments.Path
 	}{
-		{"sharded-run16", kernel.SFBuf, kernel.CacheSharded, "run"},
-		{"sharded-batch16", kernel.SFBuf, kernel.CacheSharded, "batch"},
-		{"global-run16", kernel.SFBuf, kernel.CacheGlobal, "run"},
-		{"original-run16", kernel.OriginalKernel, kernel.CacheSharded, "run"},
+		{"sharded-run16", kernel.SFBuf, kernel.CacheSharded, experiments.PathRun},
+		{"sharded-batch16", kernel.SFBuf, kernel.CacheSharded, experiments.PathBatch},
+		{"global-run16", kernel.SFBuf, kernel.CacheGlobal, experiments.PathRun},
+		{"original-run16", kernel.OriginalKernel, kernel.CacheSharded, experiments.PathRun},
 	}
 	const entries = 512
 	for _, c := range cases {
@@ -451,12 +451,7 @@ func BenchmarkAllocRun(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			var done int
-			if c.mode == "run" {
-				done, err = experiments.ChurnRun(k, pages, b.N, run)
-			} else {
-				done, err = experiments.ChurnBatch(k, pages, b.N, run)
-			}
+			done, err := experiments.Churn(k, b.N, experiments.SharedWorkload(k, pages, run, c.path))
 			b.StopTimer()
 			if err != nil {
 				b.Fatal(err)
@@ -499,13 +494,13 @@ func BenchmarkAllocRun(b *testing.B) {
 // benchmark is where the numbers surface.
 func BenchmarkAllocContig(b *testing.B) {
 	cases := []struct {
-		name    string
-		phys    kernel.PhysPolicy
-		useRuns bool
+		name string
+		phys kernel.PhysPolicy
+		path experiments.Path
 	}{
-		{"buddy-contig", kernel.PhysBuddyAuto, true},
-		{"lifo-run", kernel.PhysBuddyOff, true},
-		{"lifo-scattered-batch", kernel.PhysBuddyOff, false},
+		{"buddy-contig", kernel.PhysBuddyAuto, experiments.PathRun},
+		{"lifo-run", kernel.PhysBuddyOff, experiments.PathRun},
+		{"lifo-scattered-batch", kernel.PhysBuddyOff, experiments.PathBatch},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -519,7 +514,8 @@ func BenchmarkAllocContig(b *testing.B) {
 			k.Reset()
 			superBefore := k.Pmap.SuperStats()
 			b.ResetTimer()
-			done, frac, err := experiments.ChurnFrag(k, b.N, experiments.ContigRecoveryPages, c.useRuns)
+			w, fresh := experiments.FreshWorkload(k, experiments.ContigRecoveryPages, c.path)
+			done, err := experiments.Churn(k, b.N, w)
 			b.StopTimer()
 			if err != nil {
 				b.Fatal(err)
@@ -532,7 +528,7 @@ func BenchmarkAllocContig(b *testing.B) {
 			b.ReportMetric(float64(cnt.PTWalks)/perPage, "walks/page")
 			b.ReportMetric(float64(cnt.RemoteInvIssued)/perPage, "sdrounds/page")
 			b.ReportMetric(float64(k.M.TotalCycles())/perPage, "simcycles/page")
-			b.ReportMetric(frac, "contig/extent")
+			b.ReportMetric(fresh.Frac(), "contig/extent")
 			b.ReportMetric(float64(super.Promotions-superBefore.Promotions), "promotions")
 			b.ReportMetric(float64(phys.LargestFreeExtent), "largestfree_pages")
 			if st.RunAllocs > 0 {
@@ -660,22 +656,25 @@ func BenchmarkAllocTier(b *testing.B) {
 // revives/run metric shows the page-set window cache doing the work.
 func BenchmarkAllocAdaptive(b *testing.B) {
 	for _, workload := range []string{"stream", "churn"} {
-		for _, policy := range []string{"adaptive", "run", "batch"} {
-			b.Run(workload+"-"+policy, func(b *testing.B) {
+		for _, policy := range []struct {
+			name string
+			path experiments.Path
+		}{
+			{"adaptive", experiments.PathConsumer},
+			{"run", experiments.PathRun},
+			{"batch", experiments.PathBatch},
+		} {
+			b.Run(workload+"-"+policy.name, func(b *testing.B) {
 				k, err := experiments.BootAdaptive()
 				if err != nil {
 					b.Fatal(err)
 				}
-				runLen := experiments.AdaptiveStreamLen
-				if workload == "churn" {
-					runLen = experiments.AdaptiveChurnLen
-				}
-				rounds := b.N / (k.M.NumCPUs() * runLen)
-				if rounds < 1 {
-					rounds = 1
+				w, err := experiments.AdaptiveWorkload(k, workload, policy.path)
+				if err != nil {
+					b.Fatal(err)
 				}
 				b.ResetTimer()
-				done, err := experiments.ChurnAdaptiveWorkload(k, workload, policy, rounds)
+				done, err := experiments.Churn(k, b.N, w)
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)

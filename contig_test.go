@@ -24,7 +24,7 @@ type contigRecoveryResult struct {
 	largestExt int
 }
 
-func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, useRuns bool, ops int) contigRecoveryResult {
+func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, path experiments.Path, ops int) contigRecoveryResult {
 	t.Helper()
 	k, err := experiments.BootContigRecovery(physBuddy)
 	if err != nil {
@@ -35,7 +35,8 @@ func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, useRuns bool
 	}
 	k.Reset()
 	superBefore := k.Pmap.SuperStats()
-	done, frac, err := experiments.ChurnFrag(k, ops, experiments.ContigRecoveryPages, useRuns)
+	w, fresh := experiments.FreshWorkload(k, experiments.ContigRecoveryPages, path)
+	done, err := experiments.Churn(k, ops, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +44,16 @@ func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, useRuns bool
 	return contigRecoveryResult{
 		promotions: k.Pmap.SuperStats().Promotions - superBefore.Promotions,
 		walksPage:  float64(snap.PTWalks) / float64(done),
-		contigFrac: frac,
+		contigFrac: fresh.Frac(),
 		largestExt: k.PhysStats().LargestFreeExtent,
 	}
 }
 
 func TestContigPromotionRecovery(t *testing.T) {
 	const ops = 64 * experiments.ContigRecoveryPages
-	buddy := driveContigRecovery(t, kernel.PhysBuddyAuto, true, ops)
-	lifoRun := driveContigRecovery(t, kernel.PhysBuddyOff, true, ops)
-	scattered := driveContigRecovery(t, kernel.PhysBuddyOff, false, ops)
+	buddy := driveContigRecovery(t, kernel.PhysBuddyAuto, experiments.PathRun, ops)
+	lifoRun := driveContigRecovery(t, kernel.PhysBuddyOff, experiments.PathRun, ops)
+	scattered := driveContigRecovery(t, kernel.PhysBuddyOff, experiments.PathBatch, ops)
 	t.Logf("buddy run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",
 		buddy.promotions, buddy.walksPage, buddy.contigFrac, buddy.largestExt)
 	t.Logf("lifo run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"sfbuf/internal/kernel"
 	"sfbuf/internal/vm"
 )
 
@@ -12,6 +13,26 @@ import (
 // mode) amortizes below the 10% tolerance.
 const adaptiveRounds = 400
 
+// driveAdaptive boots the canonical adaptive kernel and drives one
+// acceptance workload for adaptiveRounds rounds along path, returning
+// the kernel and the pages moved.
+func driveAdaptive(t *testing.T, workload string, path Path) (*kernel.Kernel, int) {
+	t.Helper()
+	k, err := BootAdaptive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := AdaptiveWorkload(k, workload, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := Churn(k, adaptiveRounds*k.M.NumCPUs()*w.Len, w)
+	if err != nil {
+		t.Fatalf("%s/%d: %v", workload, path, err)
+	}
+	return k, done
+}
+
 // TestAdaptivePolicyEconomy enforces the PR's acceptance criterion on
 // the canonical workloads: the adaptive per-consumer policy must land
 // within 10% of the BEST static Contig choice on both the streaming and
@@ -19,21 +40,14 @@ const adaptiveRounds = 400
 // least 2x on each — measured in simulated cycles per page, the repo's
 // performance currency.
 func TestAdaptivePolicyEconomy(t *testing.T) {
-	drive := func(workload, policy string) float64 {
-		k, err := BootAdaptive()
-		if err != nil {
-			t.Fatal(err)
-		}
-		done, err := ChurnAdaptiveWorkload(k, workload, policy, adaptiveRounds)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", workload, policy, err)
-		}
+	drive := func(workload string, path Path) float64 {
+		k, done := driveAdaptive(t, workload, path)
 		return float64(k.M.TotalCycles()) / float64(done)
 	}
 	for _, workload := range []string{"stream", "churn"} {
-		run := drive(workload, "run")
-		batch := drive(workload, "batch")
-		adaptive := drive(workload, "adaptive")
+		run := drive(workload, PathRun)
+		batch := drive(workload, PathBatch)
+		adaptive := drive(workload, PathConsumer)
 		best, worst := run, batch
 		if batch < best {
 			best, worst = batch, run
@@ -54,18 +68,11 @@ func TestAdaptivePolicyEconomy(t *testing.T) {
 // streaming workload the consumer must stay on the run path and feed on
 // window revives; on the churn workload it must flip to the batch path
 // within its first epochs and stay there (hysteresis: a handful of
-// flips at most, not one per epoch).  It drives the sequential replay of
-// the workload: the flip count is a property of the extent order the
-// EWMAs see, and asserting an exact range over a scheduler-dependent
-// order made this test flake under -race.
+// flips at most, not one per epoch).  The flip count is a property of
+// the extent order the EWMAs see, which the deterministic churn driver
+// fixes, so an exact range can be asserted.
 func TestAdaptivePolicyDecisions(t *testing.T) {
-	k, err := BootAdaptive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ChurnAdaptiveSequential(k, "stream", "adaptive", adaptiveRounds); err != nil {
-		t.Fatal(err)
-	}
+	k, _ := driveAdaptive(t, "stream", PathConsumer)
 	stats := k.PolicyStats()
 	if len(stats) != 1 || stats[0].Name != "adaptive-stream" {
 		t.Fatalf("policy stats = %+v, want the one stream consumer", stats)
@@ -82,13 +89,7 @@ func TestAdaptivePolicyDecisions(t *testing.T) {
 		t.Error("streaming extents never revived a parked window")
 	}
 
-	k2, err := BootAdaptive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ChurnAdaptiveSequential(k2, "churn", "adaptive", adaptiveRounds); err != nil {
-		t.Fatal(err)
-	}
+	k2, _ := driveAdaptive(t, "churn", PathConsumer)
 	ps = k2.PolicyStats()[0]
 	if ps.RunDecisions > ps.BatchDecisions/10 {
 		t.Errorf("churn consumer chose runs %d of %d times; must flip to the batch path early",

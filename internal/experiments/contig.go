@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/kernel"
@@ -98,99 +95,6 @@ func FragmentPhysOn(phys *vm.PhysMem, topo smp.Topology) error {
 		}
 	}
 	return nil
-}
-
-// ChurnFrag is the post-fragmentation extent churn: every CPU repeatedly
-// allocates a FRESH runLen-page physical extent — AllocContig with the
-// kernel's alignment hint where the allocator can, scattered AllocN
-// where it cannot — maps it (AllocRun + ranged sweep when useRuns,
-// AllocBatch + per-page translation otherwise, the CopyOutVec cost
-// shape), and releases both the mapping and the frames.  It returns the
-// pages churned and the fraction of extents served physically
-// contiguous; on a buddy machine the fraction stays ~1.0 because freed
-// extents coalesce, on a LIFO machine it is 0 forever.  With runLen =
-// pmap.SuperpagePages every contiguous extent's aligned window promotes,
-// which is the recovery BenchmarkAllocContig and the promotion-recovery
-// test measure.
-func ChurnFrag(k *kernel.Kernel, ops, runLen int, useRuns bool) (done int, contigFrac float64, err error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / runLen
-	if rounds < 1 {
-		rounds = 1
-	}
-	var contig, total atomic.Uint64
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			var got []*vm.Page
-			for i := 0; i < rounds; i++ {
-				pages, aerr := k.AllocPhysContig(runLen)
-				if errors.Is(aerr, vm.ErrNoContig) {
-					pages, aerr = k.M.Phys.AllocN(runLen)
-				} else if aerr == nil {
-					contig.Add(1)
-				}
-				if aerr != nil {
-					errs[cpu] = aerr
-					return
-				}
-				total.Add(1)
-				if uerr := func() error {
-					if useRuns {
-						r, err := k.Map.AllocRun(ctx, pages, 0)
-						if err != nil {
-							return err
-						}
-						defer k.Map.FreeRun(ctx, r)
-						if r.Contiguous() {
-							got, err = k.Pmap.TranslateRun(ctx, r.Base(), r.Len(), false, got[:0])
-							return err
-						}
-						for j := 0; j < r.Len(); j++ {
-							if _, err := k.Pmap.Translate(ctx, r.KVA(j), false); err != nil {
-								return err
-							}
-						}
-						return nil
-					}
-					bufs, err := k.Map.AllocBatch(ctx, pages, 0)
-					if err != nil {
-						return err
-					}
-					defer k.Map.FreeBatch(ctx, bufs)
-					for _, b := range bufs {
-						if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-							return err
-						}
-					}
-					return nil
-				}(); uerr != nil {
-					errs[cpu] = uerr
-					return
-				}
-				for _, pg := range pages {
-					k.M.Phys.Free(pg)
-				}
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, e
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	if t := total.Load(); t > 0 {
-		contigFrac = float64(contig.Load()) / float64(t)
-	}
-	return rounds * ncpu * runLen, contigFrac, nil
 }
 
 // ContigRecoveryPages is the extent width the promotion-recovery harness

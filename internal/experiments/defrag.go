@@ -161,23 +161,13 @@ func ChurnDefrag(k *kernel.Kernel, shape *DefragShape, rounds int) (done, contig
 			}
 		}
 	}()
-	var got []*vm.Page
+	m := &mapper{k: k}
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < DefragChurnOps; i++ {
-			ctx := k.Ctx((r + i) % ncpu)
-			pg := shape.WorkSet[(r*13+i)%len(shape.WorkSet)]
-			b, aerr := k.Map.Alloc(ctx, pg, 0)
-			if aerr != nil {
-				return 0, 0, aerr
+			j := (r*13 + i) % len(shape.WorkSet)
+			if err := m.touch(k.Ctx((r+i)%ncpu), shape.WorkSet[j:j+1], PathSingle); err != nil {
+				return 0, 0, fmt.Errorf("round %d: churn: %w", r, err)
 			}
-			tp, terr := k.Pmap.Translate(ctx, b.KVA(), false)
-			if terr != nil {
-				return 0, 0, terr
-			}
-			if tp != pg {
-				return 0, 0, fmt.Errorf("round %d: churn translation resolved a different page", r)
-			}
-			k.Map.Free(ctx, b)
 		}
 		if r%4 == 3 {
 			k.Idle(r%ncpu, 1<<15)
@@ -188,7 +178,6 @@ func ChurnDefrag(k *kernel.Kernel, shape *DefragShape, rounds int) (done, contig
 			}
 			hold = hold[1:]
 		}
-		ctx := k.Ctx(r % ncpu)
 		pages, aerr := k.AllocPhysContig(span)
 		if aerr == nil {
 			contigServed++
@@ -198,37 +187,14 @@ func ChurnDefrag(k *kernel.Kernel, shape *DefragShape, rounds int) (done, contig
 		if aerr != nil {
 			return 0, 0, fmt.Errorf("round %d: extent: %w", r, aerr)
 		}
-		rn, rerr := k.Map.AllocRun(ctx, pages, 0)
-		if rerr != nil {
-			return 0, 0, rerr
+		if err := m.touch(k.Ctx(r%ncpu), pages, PathRun); err != nil {
+			return 0, 0, fmt.Errorf("round %d: extent: %w", r, err)
 		}
-		if rn.Contiguous() {
-			got, rerr = k.Pmap.TranslateRun(ctx, rn.Base(), rn.Len(), false, got[:0])
-			if rerr != nil {
-				return 0, 0, rerr
-			}
-			for j, tp := range got {
-				if tp != pages[j] {
-					return 0, 0, fmt.Errorf("round %d: run slot %d resolved a different page", r, j)
-				}
-			}
-		} else {
-			for j := 0; j < rn.Len(); j++ {
-				tp, terr := k.Pmap.Translate(ctx, rn.KVA(j), false)
-				if terr != nil {
-					return 0, 0, terr
-				}
-				if tp != pages[j] {
-					return 0, 0, fmt.Errorf("round %d: scattered slot %d resolved a different page", r, j)
-				}
-			}
-		}
-		k.Map.FreeRun(ctx, rn)
 		hold = append(hold, pages)
 		done += DefragChurnOps + span
 	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
+	if err := checkLedger(k); err != nil {
+		return 0, 0, err
 	}
 	return done, contigServed, nil
 }

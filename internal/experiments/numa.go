@@ -158,17 +158,13 @@ func ChurnNUMA(k *kernel.Kernel, entries, ops int) (int, error) {
 	if nCold < perCPU {
 		nCold = perCPU // at least one full cold sweep so reclaim runs
 	}
+	m := &mapper{k: k, flags: sfbuf.Private}
 	churn := func(ctx *smp.Context, cpu, n int, pages []*vm.Page) error {
 		for i := 0; i < n; i++ {
-			pg := pages[(i*(2*cpu+1)+cpu*7)%len(pages)]
-			b, err := k.Map.Alloc(ctx, pg, sfbuf.Private)
-			if err != nil {
+			j := (i*(2*cpu+1) + cpu*7) % len(pages)
+			if err := m.touch(ctx, pages[j:j+1], PathSingle); err != nil {
 				return err
 			}
-			if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-				return err
-			}
-			k.Map.Free(ctx, b)
 		}
 		return nil
 	}
@@ -182,8 +178,8 @@ func ChurnNUMA(k *kernel.Kernel, entries, ops int) (int, error) {
 			return 0, err
 		}
 	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
+	if err := checkLedger(k); err != nil {
+		return 0, err
 	}
 	return (nHot + nCold) * ncpu, nil
 }

@@ -196,7 +196,7 @@ func steadyChurn(o Options, plat arch.Platform, sockets, entries, watermark int)
 		return 0, err
 	}
 	ops := o.scaleInt(120000, 4000)
-	done, err := ChurnBatch(k, pages, ops, ScaleBatch)
+	done, err := Churn(k, ops, SharedWorkload(k, pages, ScaleBatch, PathBatch))
 	if err != nil {
 		return 0, err
 	}

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"sfbuf/internal/arch"
-	"sfbuf/internal/cycles"
 	"sfbuf/internal/kernel"
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/vm"
@@ -124,11 +122,11 @@ func RunScale(o Options) (*Result, error) {
 					return nil, fmt.Errorf("scale %s warmup: %w", name, err)
 				}
 				k.Reset()
-				var frac float64
-				done, frac, err = ChurnFrag(k, ops, batch, true)
+				w, fresh := FreshWorkload(k, batch, PathRun)
+				done, err = Churn(k, ops, w)
 				if err == nil {
-					contigCol = fmt.Sprintf("%.2f", frac)
-					res.SetMetric("contig_frac/"+name, frac)
+					contigCol = fmt.Sprintf("%.2f", fresh.Frac())
+					res.SetMetric("contig_frac/"+name, fresh.Frac())
 				}
 			} else {
 				var pages []*vm.Page
@@ -136,16 +134,13 @@ func RunScale(o Options) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				switch mode {
-				case "batch":
-					done, err = ChurnBatch(k, pages, ops, batch)
-				case "run":
-					done, err = ChurnRun(k, pages, ops, batch)
-				case "adaptive":
-					done, err = ChurnAuto(k, pages, ops, batch)
-				default:
-					done, err = Churn(k, pages, ops)
+				path := map[string]Path{"single": PathSingle, "batch": PathBatch,
+					"run": PathRun, "adaptive": PathConsumer}[mode]
+				n := batch
+				if path == PathSingle {
+					n = 1
 				}
+				done, err = Churn(k, ops, SharedWorkload(k, pages, n, path))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("scale %s: %w", name, err)
@@ -177,7 +172,7 @@ func RunScale(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		done, err := ChurnIdle(k, pages, ops, batch, 8, 1<<16)
+		done, err := Churn(k, ops, idleEvery(k, SharedWorkload(k, pages, batch, PathBatch), 8, 1<<16))
 		if err != nil {
 			return nil, fmt.Errorf("scale %s: %w", ir.name, err)
 		}
@@ -219,7 +214,7 @@ func RunScale(o Options) (*Result, error) {
 				return nil, err
 			}
 			name := fmt.Sprintf("sf_buf sharded %s %d-socket", hp.name, sockets)
-			done, err := Churn(k, pages, ops)
+			done, err := Churn(k, ops, SharedWorkload(k, pages, 1, PathSingle))
 			if err != nil {
 				return nil, fmt.Errorf("scale %s: %w", name, err)
 			}
@@ -327,209 +322,3 @@ func scaleRow(res *Result, k *kernel.Kernel, name string, done int, contigCol, p
 // ScaleBatch is the run length the scale experiment's batch rows use —
 // also the batch size of the acceptance benchmark BenchmarkAllocBatch.
 const ScaleBatch = 16
-
-// Churn runs roughly ops shared Alloc/touch/Free cycles spread across
-// every CPU, one goroutine per CPU, each walking the working set at a
-// different stride so frames stay spread across shards and CPUs genuinely
-// contend.  It returns the operation count actually executed (ops rounded
-// down to a multiple of the CPU count).  BenchmarkAllocContended drives
-// the same loop, so the benchmark and the scale experiment cannot drift
-// apart.
-func Churn(k *kernel.Kernel, pages []*vm.Page, ops int) (int, error) {
-	ncpu := k.M.NumCPUs()
-	n := ops / ncpu
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			for i := 0; i < n; i++ {
-				pg := pages[(i*(2*cpu+1)+cpu*7)%len(pages)]
-				b, err := k.Map.Alloc(ctx, pg, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				// Touch through the honest MMU so the accessed bit is
-				// set and the coherence protocol is load-bearing.
-				if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-					errs[cpu] = err
-					return
-				}
-				k.Map.Free(ctx, b)
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	// Guard the simulation's invariant: contention must never corrupt a
-	// mapping (stale TLB reads fault or return wrong frames upstream).
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return n * ncpu, nil
-}
-
-// ChurnBatch is the vectored counterpart of Churn: every CPU churns the
-// same shared working set, but maps batch pages per AllocBatch, touches
-// each through the honest MMU, and releases them with one FreeBatch.  The
-// returned count is in pages (single-page-op equivalents), so rows and
-// metrics stay directly comparable with Churn's.  BenchmarkAllocBatch
-// drives this loop, keeping the benchmark and the experiment in lockstep.
-func ChurnBatch(k *kernel.Kernel, pages []*vm.Page, ops, batch int) (int, error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / batch
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			scratch := make([]*vm.Page, batch)
-			for i := 0; i < rounds; i++ {
-				for j := 0; j < batch; j++ {
-					scratch[j] = pages[(i*batch*(2*cpu+1)+j*7+cpu*11)%len(pages)]
-				}
-				bufs, err := k.Map.AllocBatch(ctx, scratch, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				for _, b := range bufs {
-					if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-						errs[cpu] = err
-						return
-					}
-				}
-				k.Map.FreeBatch(ctx, bufs)
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * batch, nil
-}
-
-// ChurnIdle is ChurnBatch with traffic lulls: after every gapEvery rounds
-// each CPU goes idle for gap cycles (kernel.Idle — the background daemon's
-// tick when one is enabled).  It is the scale experiment's bursty-workload
-// row and the -race stressor for daemon-vs-churn interleaving: reclaim
-// passes on idling CPUs race allocation misses on busy ones.
-func ChurnIdle(k *kernel.Kernel, pages []*vm.Page, ops, batch, gapEvery int, gap cycles.Cycles) (int, error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / batch
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			scratch := make([]*vm.Page, batch)
-			for i := 0; i < rounds; i++ {
-				for j := 0; j < batch; j++ {
-					scratch[j] = pages[(i*batch*(2*cpu+1)+j*7+cpu*11)%len(pages)]
-				}
-				bufs, err := k.Map.AllocBatch(ctx, scratch, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				for _, b := range bufs {
-					if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-						errs[cpu] = err
-						return
-					}
-				}
-				k.Map.FreeBatch(ctx, bufs)
-				if gapEvery > 0 && (i+1)%gapEvery == 0 {
-					k.Idle(cpu, gap)
-				}
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * batch, nil
-}
-
-// ChurnRun is the contiguous-run counterpart of ChurnBatch: every CPU
-// maps runLen pages per AllocRun, sweeps the whole window through the
-// honest MMU with ONE ranged translation (kcopy-style: one page-table
-// walk per contiguous PTE run, versus one per page on the scattered
-// paths), and releases it with one FreeRun.  Fallback engines return
-// scattered runs, which are swept page by page — exactly what their
-// mappings cost.  The returned count is in pages, comparable with Churn
-// and ChurnBatch.  BenchmarkAllocRun drives this loop, keeping the
-// benchmark and the experiment in lockstep.
-func ChurnRun(k *kernel.Kernel, pages []*vm.Page, ops, runLen int) (int, error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / runLen
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			scratch := make([]*vm.Page, runLen)
-			var got []*vm.Page
-			for i := 0; i < rounds; i++ {
-				for j := 0; j < runLen; j++ {
-					scratch[j] = pages[(i*runLen*(2*cpu+1)+j*7+cpu*11)%len(pages)]
-				}
-				r, err := k.Map.AllocRun(ctx, scratch, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				if r.Contiguous() {
-					got, err = k.Pmap.TranslateRun(ctx, r.Base(), r.Len(), false, got[:0])
-					if err != nil {
-						errs[cpu] = err
-						return
-					}
-				} else {
-					for j := 0; j < r.Len(); j++ {
-						if _, err := k.Pmap.Translate(ctx, r.KVA(j), false); err != nil {
-							errs[cpu] = err
-							return
-						}
-					}
-				}
-				k.Map.FreeRun(ctx, r)
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * runLen, nil
-}

@@ -127,12 +127,11 @@ func tierExtentOf(rank int) int { return (7*rank + 19) % TierExtents }
 // migration histories) deterministic.  Every tierIdleEvery accesses one
 // CPU takes an idle tick: the daemon's slot.
 func ChurnTier(k *kernel.Kernel, workload string, extents [][]*vm.Page, accesses int) (int, error) {
-	cons := k.Consumer("tier")
+	m := &mapper{k: k, cons: k.Consumer("tier"), serve: serveTierExtent}
 	ncpu := k.M.NumCPUs()
 	cum := tierZipfCum()
 	state := uint64(0x9E3779B97F4A7C15)
 	pages := 0
-	var got []*vm.Page
 	for i := 0; i < accesses; i++ {
 		state = state*tierLCGMul + tierLCGInc
 		u := float64(state>>11) / (1 << 53)
@@ -151,46 +150,16 @@ func ChurnTier(k *kernel.Kernel, workload string, extents [][]*vm.Page, accesses
 			return 0, fmt.Errorf("unknown tier workload %q", workload)
 		}
 		ext := extents[tierExtentOf(rank)]
-		ctx := k.Ctx(i % ncpu)
-		if cons.UseRuns(ctx, ext) {
-			rn, err := k.Map.AllocRun(ctx, ext, 0)
-			if err != nil {
-				return 0, err
-			}
-			if rn.Contiguous() {
-				got, err = k.Pmap.TranslateRun(ctx, rn.Base(), rn.Len(), false, got[:0])
-				if err != nil {
-					return 0, err
-				}
-			} else {
-				for j := 0; j < rn.Len(); j++ {
-					if _, err := k.Pmap.Translate(ctx, rn.KVA(j), false); err != nil {
-						return 0, err
-					}
-				}
-			}
-			serveTierExtent(ctx, ext)
-			k.Map.FreeRun(ctx, rn)
-		} else {
-			bufs, err := k.Map.AllocBatch(ctx, ext, 0)
-			if err != nil {
-				return 0, err
-			}
-			for _, b := range bufs {
-				if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-					return 0, err
-				}
-			}
-			serveTierExtent(ctx, ext)
-			k.Map.FreeBatch(ctx, bufs)
+		if err := m.touch(k.Ctx(i%ncpu), ext, PathConsumer); err != nil {
+			return 0, err
 		}
 		pages += len(ext)
 		if i%tierIdleEvery == tierIdleEvery-1 {
 			k.Idle(i%ncpu, 1<<15)
 		}
 	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
+	if err := checkLedger(k); err != nil {
+		return 0, err
 	}
 	return pages, nil
 }

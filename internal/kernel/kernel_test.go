@@ -1,11 +1,15 @@
 package kernel
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/sfbuf"
+	"sfbuf/internal/vm"
 )
 
 func TestBootAllPlatformsBothKernels(t *testing.T) {
@@ -179,5 +183,78 @@ func TestPhysContigAlignHints(t *testing.T) {
 	}
 	if pages[0].Frame()%4 != 0 {
 		t.Errorf("sparc64 extent starts at frame %d, want a multiple of 4", pages[0].Frame())
+	}
+}
+
+// TestContigExtentChurnStress is the -race stress for fresh-extent
+// churn: every CPU concurrently allocates physical extents through
+// AllocPhysContig (scattered AllocN when contiguity runs out), maps them
+// as runs, reads every page back through the MMU and frees both the
+// mapping and the frames, so buddy splits, coalescing and run windows
+// interleave across CPUs.  Every translation must resolve to the frame
+// it maps, and the ledgers must balance afterwards.
+func TestContigExtentChurnStress(t *testing.T) {
+	const span = pmap.SuperpagePages
+	k := MustBoot(Config{
+		Platform:     arch.XeonMPHTT(),
+		Mapper:       SFBuf,
+		Cache:        CacheSharded,
+		PhysPages:    32 * span,
+		CacheEntries: 2*span + 64,
+	})
+	free := k.M.Phys.FreeFrames()
+	var wg sync.WaitGroup
+	errs := make([]error, k.M.NumCPUs())
+	for cpu := range errs {
+		wg.Add(1)
+		go func(cpu int) {
+			defer wg.Done()
+			ctx := k.Ctx(cpu)
+			for i := 0; i < 40; i++ {
+				n := 16 << (i % 3)
+				if i%8 == 7 {
+					n = span
+				}
+				pages, err := k.AllocPhysContig(n)
+				if errors.Is(err, vm.ErrNoContig) {
+					pages, err = k.M.Phys.AllocN(n)
+				}
+				if err != nil {
+					errs[cpu] = err
+					return
+				}
+				rn, err := k.Map.AllocRun(ctx, pages, 0)
+				if err != nil {
+					errs[cpu] = err
+					return
+				}
+				for j, pg := range pages {
+					got, err := k.Pmap.Translate(ctx, rn.KVA(j), false)
+					if err == nil && got != pg {
+						err = fmt.Errorf("slot %d resolved frame %d, want %d", j, got.Frame(), pg.Frame())
+					}
+					if err != nil {
+						errs[cpu] = err
+						return
+					}
+				}
+				k.Map.FreeRun(ctx, rn)
+				for _, pg := range pages {
+					k.M.Phys.Free(pg)
+				}
+			}
+		}(cpu)
+	}
+	wg.Wait()
+	for cpu, err := range errs {
+		if err != nil {
+			t.Fatalf("cpu %d: %v", cpu, err)
+		}
+	}
+	if st := k.Map.Stats(); st.Allocs != st.Frees {
+		t.Fatalf("ledger: allocs %d != frees %d", st.Allocs, st.Frees)
+	}
+	if got := k.M.Phys.FreeFrames(); got != free {
+		t.Fatalf("free frames %d after the churn, want %d", got, free)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sfbuf/internal/arch"
@@ -237,5 +238,62 @@ func TestSendFileTinyMappingCacheFallsBackPerRun(t *testing.T) {
 	}
 	if st := k.Map.Stats(); st.Allocs != st.Frees {
 		t.Fatalf("leaked mappings: allocs %d != frees %d", st.Allocs, st.Frees)
+	}
+}
+
+// TestConcurrentSendFileStress is the -race stress for a worker pool
+// sharing one network stack: every CPU serves files over its own sink
+// connection concurrently, so the file pages' mappings, wirings and
+// acknowledgment-driven releases interleave across CPUs.  Once every
+// connection is closed, every mapping must be released and every file
+// page unwired.
+func TestConcurrentSendFileStress(t *testing.T) {
+	for _, mk := range []kernel.MapperKind{kernel.SFBuf, kernel.OriginalKernel} {
+		r := newRig(t, mk, arch.XeonMPHTT())
+		names := []string{"a.html", "b.html", "c.bin"}
+		for i, name := range names {
+			data := make([]byte, (3*i+1)*fs.BlockSize+17*i)
+			rand.New(rand.NewSource(int64(i))).Read(data)
+			if err := r.fsys.WriteFile(r.ctx, name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, r.k.M.NumCPUs())
+		for w := range errs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				ctx := r.k.Ctx(w)
+				c := r.st.NewSinkConn()
+				defer c.Close(ctx)
+				for i := 0; i < 60; i++ {
+					if _, err := SendFile(ctx, r.k, r.fsys, c, names[(i+w)%len(names)]); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("%v worker %d: %v", mk, w, err)
+			}
+		}
+		if st := r.k.Map.Stats(); st.Allocs != st.Frees {
+			t.Fatalf("%v: leaked mappings: allocs %d != frees %d", mk, st.Allocs, st.Frees)
+		}
+		for _, name := range names {
+			for pi := 0; ; pi++ {
+				pg, err := r.fsys.FilePage(r.ctx, name, pi)
+				if err != nil {
+					break
+				}
+				if pg.Wired() {
+					t.Fatalf("%v: %s page %d still wired after close", mk, name, pi)
+				}
+			}
+		}
 	}
 }

@@ -37,9 +37,12 @@ func DefaultNetperf(k *kernel.Kernel, mtu int) NetperfConfig {
 }
 
 // Netperf moves TotalBytes through a loopback connection with zero-copy
-// sends and returns the bytes received.
+// sends and returns the bytes received.  Sender and receiver take turns
+// on the calling goroutine: each send of one block is drained by the
+// receiver before the next, so the run is deterministic.  A block must
+// therefore fit the connection's window.
 func Netperf(k *kernel.Kernel, cfg NetperfConfig) (int64, error) {
-	if cfg.MTU <= netstack.HeaderSize || cfg.SendSize <= 0 || cfg.TotalBytes <= 0 {
+	if cfg.MTU <= netstack.HeaderSize || cfg.SendSize <= 0 || cfg.SendSize > netstack.DefaultWindow || cfg.TotalBytes <= 0 {
 		return 0, fmt.Errorf("workloads: invalid netperf config %+v", cfg)
 	}
 	st := netstack.NewStack(k, cfg.MTU)
@@ -55,30 +58,19 @@ func Netperf(k *kernel.Kernel, cfg NetperfConfig) (int64, error) {
 	}
 	defer um.Release()
 
-	sends := int(cfg.TotalBytes / int64(cfg.SendSize))
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < sends; i++ {
-			if err := c.SendZeroCopy(sctx, um, 0, cfg.SendSize); err != nil {
-				errc <- err
-				return
-			}
-		}
-		errc <- nil
-	}()
-
 	var moved int64
-	want := int64(sends) * int64(cfg.SendSize)
 	buf := make([]byte, 64<<10)
-	for moved < want {
-		n, err := c.Recv(rctx, buf)
-		if err != nil {
+	for i := int64(0); i < cfg.TotalBytes/int64(cfg.SendSize); i++ {
+		if err := c.SendZeroCopy(sctx, um, 0, cfg.SendSize); err != nil {
 			return moved, err
 		}
-		moved += int64(n)
-	}
-	if err := <-errc; err != nil {
-		return moved, err
+		for want := moved + int64(cfg.SendSize); moved < want; {
+			n, err := c.Recv(rctx, buf)
+			if err != nil {
+				return moved, err
+			}
+			moved += int64(n)
+		}
 	}
 	c.Close(sctx)
 	return moved, nil
