@@ -237,7 +237,7 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 		// an optimization pass (shortage-driven reclaim still spills).
 		for within() && c.cleanBelow(ctx, d.watermark) {
 			before := c.reclaimed.Load()
-			c.reclaimScoped(ctx, 0, nil, c.homed)
+			c.reclaimScoped(ctx, 0, nil, c.homed, false)
 			got := c.reclaimed.Load() - before
 			if got == 0 {
 				break

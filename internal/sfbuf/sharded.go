@@ -700,48 +700,91 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 // takes no shard locks, so callers may hold one.  Returns nil when the
 // clean stock is exhausted and a reclaim round is needed.
 func (c *shardedCache) takeCleanFast(ctx *smp.Context) *Buf {
-	// Each lock taken on this path is charged: the modeled cost must not
-	// flatter the sharded engine against the global design's one mutex.
-	self := ctx.CPUID()
-	ctx.ChargeLockAt(c.cpuSock[self])
-	f := c.freelists[self]
-	f.mu.Lock()
-	if n := len(f.bufs); n > 0 {
-		b := f.bufs[n-1]
-		f.bufs = f.bufs[:n-1]
-		f.mu.Unlock()
-		c.freelistAllocs.Add(1)
-		return b
-	}
-	f.mu.Unlock()
-
-	for _, st := range c.planOf[self] {
-		if st.cpu < 0 {
-			ctx.ChargeLockAt(st.pool)
-			c.pool.mu.Lock()
-			if n := len(c.pool.socks[st.pool]); n > 0 {
-				b := c.pool.socks[st.pool][n-1]
-				c.pool.socks[st.pool] = c.pool.socks[st.pool][:n-1]
-				c.pool.mu.Unlock()
-				c.freelistAllocs.Add(1)
-				return b
-			}
-			c.pool.mu.Unlock()
-			continue
-		}
-		ctx.ChargeLockAt(c.cpuSock[st.cpu])
-		of := c.freelists[st.cpu]
-		of.mu.Lock()
-		if n := len(of.bufs); n > 0 {
-			b := of.bufs[n-1]
-			of.bufs = of.bufs[:n-1]
-			of.mu.Unlock()
-			c.freelistAllocs.Add(1)
-			return b
-		}
-		of.mu.Unlock()
+	var one [1]*Buf
+	if got := c.scanClean(ctx, 1, one[:0]); len(got) > 0 {
+		return got[0]
 	}
 	return nil
+}
+
+// scanClean pops up to n clean buffers from every clean stock, in the
+// calling CPU's steal order: its own freelist, then the overflow stocks
+// and the sibling freelists.  It takes no shard locks, so callers may
+// hold one.
+func (c *shardedCache) scanClean(ctx *smp.Context, n int, into []*Buf) []*Buf {
+	goal := len(into) + n
+	self := ctx.CPUID()
+	into = c.popFreelist(ctx, self, n, into)
+	for _, st := range c.planOf[self] {
+		if len(into) >= goal {
+			break
+		}
+		if st.cpu < 0 {
+			into = c.popPool(ctx, st.pool, goal-len(into), into)
+		} else {
+			into = c.popFreelist(ctx, st.cpu, goal-len(into), into)
+		}
+	}
+	return into
+}
+
+// takeCleanBulk pops up to n clean buffers for a bulk caller — a batch,
+// or a run's capacity claim — from the caller's overflow stock, where
+// bulk callers park their leftovers and reclaim surplus, then from its
+// own freelist, then (Homed) the other sockets' overflow stocks.  A bulk
+// take thus finds its stock in one or two places instead of gathering
+// it a couple of buffers at a time from every CPU's freelist.  The
+// sibling freelists are left to the single-page path; a bulk caller
+// raids them (scanClean) only after a reclaim round came up short.  It
+// takes no shard locks, so callers may hold one.
+func (c *shardedCache) takeCleanBulk(ctx *smp.Context, n int, into []*Buf) []*Buf {
+	goal := len(into) + n
+	own := c.poolIdx(ctx)
+	into = c.popPool(ctx, own, n, into)
+	if len(into) < goal {
+		into = c.popFreelist(ctx, ctx.CPUID(), goal-len(into), into)
+	}
+	for pi := range c.pool.socks {
+		if len(into) >= goal {
+			break
+		}
+		if pi != own {
+			into = c.popPool(ctx, pi, goal-len(into), into)
+		}
+	}
+	return into
+}
+
+// popFreelist moves up to n clean buffers from cpu's freelist to into:
+// one lock round trip, charged against the freelist's home socket.
+func (c *shardedCache) popFreelist(ctx *smp.Context, cpu, n int, into []*Buf) []*Buf {
+	ctx.ChargeLockAt(c.cpuSock[cpu])
+	f := c.freelists[cpu]
+	f.mu.Lock()
+	into = c.popStock(&f.bufs, n, into)
+	f.mu.Unlock()
+	return into
+}
+
+// popPool moves up to n clean buffers from overflow sub-stock pi to into:
+// one lock round trip, charged against socket pi.
+func (c *shardedCache) popPool(ctx *smp.Context, pi, n int, into []*Buf) []*Buf {
+	ctx.ChargeLockAt(pi)
+	c.pool.mu.Lock()
+	into = c.popStock(&c.pool.socks[pi], n, into)
+	c.pool.mu.Unlock()
+	return into
+}
+
+// popStock moves up to n buffers from the tail of *stock to into.  The
+// caller holds the stock's lock.
+func (c *shardedCache) popStock(stock *[]*Buf, n int, into []*Buf) []*Buf {
+	take := min(max(n, 0), len(*stock))
+	cut := len(*stock) - take
+	c.freelistAllocs.Add(uint64(take))
+	into = append(into, (*stock)[cut:]...)
+	*stock = (*stock)[:cut]
+	return into
 }
 
 // putClean restocks a clean buffer the allocator ended up not needing.
@@ -763,76 +806,16 @@ func (c *shardedCache) putClean(ctx *smp.Context, b *Buf) {
 	c.bumpFree()
 }
 
-// takeCleanBulk pops up to n clean buffers with as few lock round trips
-// as possible: the calling CPU's freelist first (one round trip for the
-// whole take), then the overflow stock(s) and sibling freelists in the
-// CPU's steal order (same-socket state first under Homed).  It takes no
-// shard locks, so callers may hold one.  It returns whatever stock it
-// could find appended to into; the shortfall is the caller's to reclaim.
-func (c *shardedCache) takeCleanBulk(ctx *smp.Context, n int, into []*Buf) []*Buf {
-	want := n
-	pop := func(bufs *[]*Buf) {
-		take := want
-		if m := len(*bufs); take > m {
-			take = m
-		}
-		if take > 0 {
-			cut := len(*bufs) - take
-			into = append(into, (*bufs)[cut:]...)
-			*bufs = (*bufs)[:cut]
-			want -= take
-		}
-	}
-	self := ctx.CPUID()
-	ctx.ChargeLockAt(c.cpuSock[self])
-	f := c.freelists[self]
-	f.mu.Lock()
-	pop(&f.bufs)
-	f.mu.Unlock()
-	for _, st := range c.planOf[self] {
-		if want == 0 {
-			break
-		}
-		if st.cpu < 0 {
-			ctx.ChargeLockAt(st.pool)
-			c.pool.mu.Lock()
-			pop(&c.pool.socks[st.pool])
-			c.pool.mu.Unlock()
-			continue
-		}
-		of := c.freelists[st.cpu]
-		ctx.ChargeLockAt(c.cpuSock[st.cpu])
-		of.mu.Lock()
-		pop(&of.bufs)
-		of.mu.Unlock()
-	}
-	c.freelistAllocs.Add(uint64(n - want))
-	return into
-}
-
-// putCleanBulk restocks clean buffers: the calling CPU's freelist up to
-// its bound in one round trip, the surplus to the caller's overflow
-// stock, and one wakeup round for the lot.
+// putCleanBulk restocks a bulk caller's clean buffers into the caller's
+// overflow stock — where the next bulk take looks first — in one round
+// trip, with one wakeup round for the lot.
 func (c *shardedCache) putCleanBulk(ctx *smp.Context, bufs []*Buf) {
-	n := len(bufs)
-	self := ctx.CPUID()
-	ctx.ChargeLockAt(c.cpuSock[self])
-	f := c.freelists[self]
-	f.mu.Lock()
-	if room := c.cfg.PerCPUFree - len(f.bufs); room > 0 {
-		take := min(room, len(bufs))
-		f.bufs = append(f.bufs, bufs[:take]...)
-		bufs = bufs[take:]
-	}
-	f.mu.Unlock()
-	if len(bufs) > 0 {
-		pi := c.poolIdx(ctx)
-		ctx.ChargeLockAt(pi)
-		c.pool.mu.Lock()
-		c.pool.socks[pi] = append(c.pool.socks[pi], bufs...)
-		c.pool.mu.Unlock()
-	}
-	c.bumpFreeN(n)
+	pi := c.poolIdx(ctx)
+	ctx.ChargeLockAt(pi)
+	c.pool.mu.Lock()
+	c.pool.socks[pi] = append(c.pool.socks[pi], bufs...)
+	c.pool.mu.Unlock()
+	c.bumpFreeN(len(bufs))
 }
 
 // batchGroup is one shard's share of a vectored request: the indices of
@@ -889,6 +872,7 @@ func (c *shardedCache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flag
 	pending := len(pages) // pages not yet resolved, the restock target
 	var stash []*Buf      // clean buffers carried across shard groups
 	starving := false     // holding batchMu: sole batch allowed to sleep with a partial run
+	dry := false          // a bulk take came up short: the clean stock is spent
 	defer func() {
 		if starving {
 			c.batchMu.Unlock()
@@ -902,6 +886,12 @@ restart:
 	for gi := 0; gi < len(groups); gi++ {
 		g := &groups[gi]
 		s := g.shard
+		if dry && len(stash) == 0 && pending > 0 {
+			// The clean stock ran dry earlier in this batch: run the
+			// reclaim round now, before taking the shard lock, rather
+			// than meet the shortage under it and re-lock.
+			stash = c.reclaimBulk(ctx, pending, stash)
+		}
 	retry:
 		for {
 			gen := c.freeGen.Load()
@@ -926,22 +916,29 @@ restart:
 					c.hits.Add(1)
 					continue
 				}
-				if len(stash) == 0 {
+				if len(stash) == 0 && !dry {
 					// Bulk restock for every page the batch still has
 					// outstanding, not just this group's.  Clean-stock
 					// locks never nest around shard locks anywhere, so
 					// holding s.mu is safe — the same argument as the
-					// single-page miss path.
+					// single-page miss path.  A short take means the
+					// stock is spent: later shortages in this batch go
+					// straight to reclaim.
 					stash = c.takeCleanBulk(ctx, pending, stash)
+					dry = len(stash) < pending
 				}
 				if len(stash) == 0 {
 					// Shortage: give the shard up and run one reclaim
 					// round (its whole teardown debt lands in one
-					// flush), keeping the batch's shortfall for
-					// ourselves instead of round-tripping it through
-					// the freelists.
+					// flush), keeping the whole harvest for ourselves
+					// instead of round-tripping it through the
+					// freelists.  Only if that comes up short do we
+					// raid every other clean stock.
 					s.mu.Unlock()
 					if stash = c.reclaimBulk(ctx, pending, stash); len(stash) > 0 {
+						continue retry
+					}
+					if stash = c.scanClean(ctx, pending, stash); len(stash) > 0 {
 						continue retry
 					}
 					// Exhausted: every buffer is referenced.
@@ -960,6 +957,7 @@ restart:
 						ctx.ChargeLock()
 						c.batchMu.Lock()
 						starving = true
+						dry = false
 						gi = -1 // restart every group
 						continue restart
 					}
@@ -992,6 +990,7 @@ restart:
 					// which also picks up any coverage a hash-growth
 					// wake announced.
 					groups = c.groupByShard(len(pages), func(i int) uint64 { return pages[i].Frame() })
+					dry = false
 					gi = -1
 					continue restart
 				}
@@ -1156,10 +1155,7 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 // the whole shortfall over under one flush, then — if the cache is truly
 // exhausted — the starvation token and a claim-based sleep.
 func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf, error) {
-	got := c.takeCleanBulk(ctx, n, nil)
-	if len(got) < n {
-		got = c.reclaimBulk(ctx, n-len(got), got)
-	}
+	got := c.restockBulk(ctx, n, nil)
 	if len(got) >= n {
 		return got, nil
 	}
@@ -1183,12 +1179,7 @@ func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf
 	for {
 		gen := c.freeGen.Load()
 		hgen := c.hitGen.Load()
-		if len(got) < n {
-			got = c.takeCleanBulk(ctx, n-len(got), got)
-		}
-		if len(got) < n {
-			got = c.reclaimBulk(ctx, n-len(got), got)
-		}
+		got = c.restockBulk(ctx, n, got)
 		if len(got) >= n {
 			return got, nil
 		}
@@ -1201,6 +1192,26 @@ func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf
 			return nil, ErrInterrupted
 		}
 	}
+}
+
+// restockBulk tops got up to n clean buffers: the bulk stock, then a
+// reclaim round, then every other clean stock.  A reclaim surplus beyond
+// n goes back to the caller's overflow stock.
+func (c *shardedCache) restockBulk(ctx *smp.Context, n int, got []*Buf) []*Buf {
+	if len(got) < n {
+		got = c.takeCleanBulk(ctx, n-len(got), got)
+	}
+	if len(got) < n {
+		got = c.reclaimBulk(ctx, n-len(got), got)
+	}
+	if len(got) < n {
+		got = c.scanClean(ctx, n-len(got), got)
+	}
+	if len(got) > n {
+		c.putCleanBulk(ctx, got[n:])
+		got = got[:n]
+	}
+	return got
 }
 
 // allocRun is the sharded engine's native contiguous-run path: claim the
@@ -1315,10 +1326,11 @@ type reclaimScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(reclaimScratch) }}
 
 // reclaim runs one reclaim round and returns one clean buffer for the
-// caller, restocking the rest — the single-page miss path.
+// caller, spreading the rest across the freelists — the single-page miss
+// path.
 func (c *shardedCache) reclaim(ctx *smp.Context) *Buf {
 	var one [1]*Buf
-	got := c.reclaimBulk(ctx, 1, one[:0])
+	got := c.reclaimScoped(ctx, 1, one[:0], false, false)
 	if len(got) == 0 {
 		return nil
 	}
@@ -1331,13 +1343,14 @@ func (c *shardedCache) reclaim(ctx *smp.Context) *Buf {
 // instead of one round per mapping.  Mappings whose accessed bit is clear
 // owe nothing (no TLB can cache an unaccessed translation), and accessed
 // mappings owe only their tlbmask, so a CPU-private workload reclaims
-// without interrupting anyone.  Up to want clean buffers are appended to
-// into for the caller (the vectored path hands a whole batch's shortfall
-// straight to the allocator instead of bouncing it through freelists);
-// the surplus restocks the freelists.  The round harvests at least the
-// configured ReclaimBatch so large wants keep the one-round amortization.
+// without interrupting anyone.  The round harvests at least the
+// configured ReclaimBatch, and at least want, so large wants keep the
+// one-round amortization.  A bulk caller keeps the whole harvest,
+// appended to into: whatever it does not use goes back to its overflow
+// stock in one round trip (putCleanBulk), where its next bulk take looks
+// first, instead of being spread a couple of buffers per freelist.
 func (c *shardedCache) reclaimBulk(ctx *smp.Context, want int, into []*Buf) []*Buf {
-	return c.reclaimScoped(ctx, want, into, false)
+	return c.reclaimScoped(ctx, want, into, false, true)
 }
 
 // reclaimScoped is reclaimBulk with a homing scope: under the homed
@@ -1347,8 +1360,9 @@ func (c *shardedCache) reclaimBulk(ctx *smp.Context, want int, into []*Buf) []*B
 // the local one runs dry (never when localOnly, the background daemon's
 // mode: refill is an optimization, not a correctness obligation, so the
 // daemon only does package-local work).  The striped layout rotates the
-// hand over all stripes exactly as before.
-func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, localOnly bool) []*Buf {
+// hand over all stripes exactly as before.  Without keepAll, up to want
+// victims go to the caller and the surplus restocks the freelists.
+func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, localOnly, keepAll bool) []*Buf {
 	scratch := scratchPool.Get().(*reclaimScratch)
 	defer func() {
 		scratch.victims = scratch.victims[:0]
@@ -1411,8 +1425,8 @@ func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, lo
 	c.reclaimed.Add(uint64(len(victims)))
 	c.teardownBatch(ctx, victims)
 
-	keep := want
-	if keep > len(victims) {
+	keep := min(want, len(victims))
+	if keepAll {
 		keep = len(victims)
 	}
 	into = append(into, victims[:keep]...)
