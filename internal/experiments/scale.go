@@ -103,11 +103,21 @@ func RunScale(o Options) (*Result, error) {
 		}()},
 	}
 
-	for _, mode := range []string{"single", "batch", "run", "adaptive", "frag"} {
+	for _, mode := range []struct {
+		name string
+		path Path
+	}{
+		{"single", PathSingle}, {"batch", PathBatch}, {"run", PathRun},
+		{"adaptive", PathConsumer}, {"frag", PathRun},
+	} {
+		n := batch
+		if mode.path == PathSingle {
+			n = 1
+		}
 		for _, v := range variants {
 			name := v.name
-			if mode != "single" {
-				name = v.name + " " + mode
+			if mode.name != "single" {
+				name = v.name + " " + mode.name
 			}
 			k, err := kernel.Boot(v.cfg)
 			if err != nil {
@@ -115,14 +125,14 @@ func RunScale(o Options) (*Result, error) {
 			}
 			var done int
 			contigCol := "-"
-			if mode == "frag" {
+			if mode.name == "frag" {
 				// The frag rows allocate their extents fresh from the
 				// churned physical allocator instead of a boot-time pool.
 				if err := FragmentPhys(k); err != nil {
 					return nil, fmt.Errorf("scale %s warmup: %w", name, err)
 				}
 				k.Reset()
-				w, fresh := FreshWorkload(k, batch, PathRun)
+				w, fresh := FreshWorkload(k, n, mode.path)
 				done, err = Churn(k, ops, w)
 				if err == nil {
 					contigCol = fmt.Sprintf("%.2f", fresh.Frac())
@@ -134,13 +144,7 @@ func RunScale(o Options) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				path := map[string]Path{"single": PathSingle, "batch": PathBatch,
-					"run": PathRun, "adaptive": PathConsumer}[mode]
-				n := batch
-				if path == PathSingle {
-					n = 1
-				}
-				done, err = Churn(k, ops, SharedWorkload(k, pages, n, path))
+				done, err = Churn(k, ops, SharedWorkload(k, pages, n, mode.path))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("scale %s: %w", name, err)
