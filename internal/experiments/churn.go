@@ -48,15 +48,15 @@ type mapper struct {
 	k     *kernel.Kernel
 	cons  *kernel.MapConsumer // PathConsumer's router
 	flags sfbuf.Flags
-	// serve, when set, runs while each extent is mapped: the per-page
-	// work a consumer does through its mappings.
+	// serve, when set, runs while a batch or run extent is mapped: the
+	// per-page work a consumer does through its mappings.
 	serve func(ctx *smp.Context, ext []*vm.Page)
 	got   []*vm.Page
 }
 
 // touch maps ext on ctx along path, reads every page through the honest
 // MMU — so the accessed bits, walks and TLB fills are load-bearing —
-// serves it, and releases the mapping.
+// and releases the mapping.
 func (m *mapper) touch(ctx *smp.Context, ext []*vm.Page, path Path) error {
 	k := m.k
 	if path == PathConsumer {
@@ -67,15 +67,12 @@ func (m *mapper) touch(ctx *smp.Context, ext []*vm.Page, path Path) error {
 	}
 	switch path {
 	case PathSingle:
-		for j, pg := range ext {
+		for _, pg := range ext {
 			b, err := k.Map.Alloc(ctx, pg, m.flags)
 			if err != nil {
 				return err
 			}
 			err = m.check(ctx, b.KVA(), pg)
-			if err == nil && m.serve != nil {
-				m.serve(ctx, ext[j:j+1])
-			}
 			k.Map.Free(ctx, b)
 			if err != nil {
 				return err

@@ -175,8 +175,9 @@ type shardedCache struct {
 
 	// pool is the overflow stock of clean buffers beyond the per-CPU
 	// freelists — one sub-stock per socket under Homed, a single global
-	// stock homed on socket 0 otherwise — and doubles as the sleep
-	// rendezvous for exhaustion.  One mutex guards all sub-stocks; the
+	// stock homed on socket 0 otherwise.  It is where bulk callers
+	// (batches, run claims) park and find their stock, and doubles as
+	// the sleep rendezvous for exhaustion.  One mutex guards all sub-stocks; the
 	// modeled per-socket lock cost is charged per sub-stock touched.
 	pool struct {
 		mu    sync.Mutex
@@ -709,7 +710,9 @@ func (c *shardedCache) takeCleanFast(ctx *smp.Context) *Buf {
 
 // scanClean pops up to n clean buffers from every clean stock, in the
 // calling CPU's steal order: its own freelist, then the overflow stocks
-// and the sibling freelists.  It takes no shard locks, so callers may
+// and the sibling freelists.  Each stock visited is a charged lock round
+// trip: the modeled cost must not flatter the sharded engine against the
+// global design's one mutex.  It takes no shard locks, so callers may
 // hold one.
 func (c *shardedCache) scanClean(ctx *smp.Context, n int, into []*Buf) []*Buf {
 	goal := len(into) + n
@@ -1151,9 +1154,10 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 // (so capacity guards, exhaustion sleeping, and the batch-fair wakeup all
 // apply), but their kernel virtual addresses go unused — the run's
 // translations live in a reserved window instead.  The claim path is the
-// batch shortage path: bulk freelist pops, then reclaim rounds handing
-// the whole shortfall over under one flush, then — if the cache is truly
-// exhausted — the starvation token and a claim-based sleep.
+// batch shortage path: bulk pops from the overflow stock, then reclaim
+// rounds handing the whole shortfall over under one flush, then — if the
+// cache is truly exhausted — the starvation token and a claim-based
+// sleep.
 func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf, error) {
 	got := c.restockBulk(ctx, n, nil)
 	if len(got) >= n {
