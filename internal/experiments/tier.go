@@ -44,8 +44,7 @@ const (
 	// tail still interleaves.
 	tierZipfS = 1.3
 	// tierIdleEvery is the idle-tick period in accesses: the background
-	// daemon's slot, where the tier keeper's idle demotion keeps a free
-	// reserve in the fast tier.
+	// daemon's slot.
 	tierIdleEvery = 16
 	// tierLCGMul and tierLCGInc are the driver's deterministic LCG.
 	tierLCGMul = 6364136223846793005

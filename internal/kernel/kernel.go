@@ -251,9 +251,8 @@ func (p MigratePolicy) String() string {
 // physical pool (Config.Tiers >= 2): the kernel's tier keeper promotes
 // extents the per-consumer reuse EWMAs classify as hot into the fast tier
 // (migrating their frames and remapping parked windows in place, one
-// shootdown flush per pass) and demotes the coldest residents under
-// fast-tier pressure — synchronously when a promotion needs room, and as
-// the background daemon's fifth idle-tick duty.
+// shootdown flush per pass) and, when a promotion needs room, demotes
+// the coldest residents its rate beats by the admission margin.
 type TierHintPolicy int
 
 const (
@@ -651,9 +650,6 @@ func Boot(cfg Config) (*Kernel, error) {
 		}
 		if mig != nil {
 			k.tier = newTierKeeper(k, mig)
-			if k.daemon != nil {
-				k.daemon.SetTierDuty(k.tier.IdleDemote)
-			}
 		}
 	}
 	return k, nil

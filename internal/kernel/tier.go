@@ -14,11 +14,13 @@ package kernel
 // windows remapped in place, one shootdown flush per pass).  Everything
 // else is cold and stays where allocation put it.
 //
-// Fast-tier pressure is resolved by demoting the coldest tracked resident
-// extents (least-recently-noted first): synchronously when a promotion
-// needs room, and ahead of demand as the background daemon's fifth
-// idle-tick duty, which keeps a small free reserve in the fast tier so
-// promotions land without paying a synchronous eviction.
+// Fast-tier pressure is resolved only when a promotion needs room: the
+// promotion synchronously demotes the coldest tracked residents, and only
+// those its own rate beats by the admission margin.  Nothing demotes in
+// the background: an idle demotion empties fast frames that the
+// defragmenter, whose evacuations land on the lowest free frames, refills
+// with the same cold pages, so the two would move the same extents back
+// and forth without ever producing a superpage block.
 //
 // On a uniform pool the keeper does not exist (Kernel.tier is nil) and no
 // consumer pays a cycle of its bookkeeping: the default configuration is
@@ -61,12 +63,6 @@ const (
 	// page plus a shootdown round.  With it, a stable working set
 	// migrates nothing at all.
 	tierAdmitMargin = 1.5
-	// tierStaleAge drives idle demotion: a fast-resident tracked extent
-	// not noted for this many notes is demoted on the daemon's tick.
-	// Aging — rather than keeping a fixed free reserve — is what keeps
-	// the steady state quiet: a full fast tier of hot extents stays
-	// exactly where it is until something actually goes cold.
-	tierStaleAge = 256
 )
 
 // tierExtent is one tracked extent: the page handles (stable across
@@ -230,59 +226,6 @@ func (t *TierKeeper) demoteWeaker(ctx *smp.Context, except uint64, candRate floa
 		need -= moved
 	}
 	return true
-}
-
-// IdleDemote is the background daemon's tier duty: demote fast-resident
-// tracked extents that have gone stale (not noted for tierStaleAge
-// notes) — eviction paid out of idle time.  A full fast tier of live
-// extents is left alone: steady-state pressure is resolved by the
-// synchronous demotion on the promotion path, not by keeping frames
-// idle-free, so a stable working set migrates nothing at all.
-func (t *TierKeeper) IdleDemote(ctx *smp.Context) {
-	phys := t.k.M.Phys
-	type stale struct {
-		sig  uint64
-		last uint64
-	}
-	t.mu.Lock()
-	clock := t.clock
-	var victims []stale
-	for sig, e := range t.extents {
-		if clock-e.last() <= tierStaleAge {
-			continue
-		}
-		inFast := false
-		for _, pg := range e.pages {
-			if f := pg.Frame(); f != 0 && !phys.SlowFrame(f) {
-				inFast = true
-				break
-			}
-		}
-		if inFast {
-			victims = append(victims, stale{sig, e.last()})
-		}
-	}
-	t.mu.Unlock()
-	// Oldest first, signature tiebreak: deterministic regardless of map
-	// iteration order.
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].last != victims[j].last {
-			return victims[i].last < victims[j].last
-		}
-		return victims[i].sig < victims[j].sig
-	})
-	for _, v := range victims {
-		t.mu.Lock()
-		ext := t.extents[v.sig]
-		t.mu.Unlock()
-		if ext == nil || ext.last() != v.last {
-			continue // re-noted since the scan: no longer stale
-		}
-		if moved := t.mig.MoveToTier(ctx, ext.pages, vm.TierSlow, ctx.Socket()); moved > 0 {
-			t.demoted.Add(uint64(moved))
-			t.demotedExt.Add(1)
-		}
-	}
 }
 
 // pruneLocked bounds the extent table by dropping the least recently

@@ -351,3 +351,32 @@ func TestAllocContigLIFOKeepsGaugesZero(t *testing.T) {
 		t.Fatalf("LIFO pool buddy gauges moved: %+v", st)
 	}
 }
+
+// TestMigrationCandidatesSkipTierStraddlingSpans pins that a span whose
+// frames sit in both tiers is never offered for evacuation: its fast and
+// slow frames never merge, so moving its residents out yields no block.
+func TestMigrationCandidatesSkipTierStraddlingSpans(t *testing.T) {
+	const frames, span = 2048, 256
+	pm := NewBuddyPhysMem(frames, false)
+	pm.SetTierSplit(512) // fast: frames 1..512, so span 2 (512..767) straddles
+	all, err := pm.AllocN(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leave one resident in the straddling span 2 and one in the
+	// slow-only span 3; free everything else.
+	keep := map[uint64]bool{600: true, 800: true}
+	for _, pg := range all {
+		if !keep[pg.Frame()] {
+			pm.Free(pg)
+		}
+	}
+	checkBuddyInvariants(t, pm)
+	if pm.TierOfFrame(2*span) == pm.TierOfFrame(3*span-1) {
+		t.Fatal("setup: span 2 does not straddle the tier boundary")
+	}
+	cands := pm.MigrationCandidates(span, 4, 0)
+	if len(cands) != 1 || cands[0].Start != 3*span || cands[0].Resident != 1 {
+		t.Fatalf("candidates = %+v, want only the slow-only span at %d", cands, 3*span)
+	}
+}

@@ -71,8 +71,10 @@ type MigrationCandidate struct {
 // 0 < resident <= maxResident allocated frames, cheapest (fewest
 // residents, then lowest address) first.  spanPages must be a power of two
 // no larger than MaxContigPages.  Span 0 is never a candidate (frame 0 is
-// the "no frame" sentinel, so that span can never coalesce whole), and a
-// span straddling a socket boundary cannot become one block either.
+// the "no frame" sentinel, so that span can never coalesce whole).  Nor
+// is a span straddling a socket or tier boundary: insertBlockLocked
+// never merges a buddy pair across either, so evacuating such a span
+// moves pages without ever producing the block.
 func (pm *PhysMem) MigrationCandidates(spanPages, maxResident, limit int) []MigrationCandidate {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -99,7 +101,8 @@ func (pm *PhysMem) MigrationCandidates(spanPages, maxResident, limit int) []Migr
 		}
 		lo := span * uint64(spanPages)
 		sock := pm.SocketOfFrame(lo)
-		if pm.SocketOfFrame(lo+uint64(spanPages)-1) != sock {
+		hi := lo + uint64(spanPages) - 1
+		if pm.SocketOfFrame(hi) != sock || pm.TierOfFrame(hi) != pm.TierOfFrame(lo) {
 			continue
 		}
 		out = append(out, MigrationCandidate{Start: lo, Span: spanPages, Resident: resident, Socket: sock})
