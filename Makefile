@@ -7,9 +7,13 @@ GO ?= go
 
 all: build test
 
+# The benchmark is its own module (perfbench/), which `go build ./...`
+# skips: vet it and compile its tests without running them, so a kernel
+# API change cannot break the benchmark unseen.
 build:
 	$(GO) build ./...
 	$(GO) build ./cmd/... ./examples/...
+	cd perfbench && $(GO) vet ./... && $(GO) test -run '^$$' ./...
 
 test:
 	$(GO) test -shuffle=on ./...

@@ -256,11 +256,11 @@ func BenchmarkReclaim(b *testing.B) {
 // homing exists to eliminate.
 func BenchmarkAllocNUMA(b *testing.B) {
 	cases := []struct {
-		name   string
-		homing kernel.HomingPolicy
+		name    string
+		disable kernel.Feature
 	}{
-		{"homed", kernel.HomingAuto},
-		{"striped", kernel.HomingOff},
+		{"homed", 0},
+		{"striped", kernel.FeatureHoming},
 	}
 	const (
 		sockets = 2
@@ -275,7 +275,7 @@ func BenchmarkAllocNUMA(b *testing.B) {
 				PhysPages:    8*entries + 128,
 				CacheEntries: entries,
 				Sockets:      sockets,
-				Homing:       c.homing,
+				Disable:      c.disable,
 			})
 			b.ResetTimer()
 			done, err := experiments.ChurnNUMA(k, entries, b.N)
@@ -494,17 +494,17 @@ func BenchmarkAllocRun(b *testing.B) {
 // benchmark is where the numbers surface.
 func BenchmarkAllocContig(b *testing.B) {
 	cases := []struct {
-		name string
-		phys kernel.PhysPolicy
-		path experiments.Path
+		name    string
+		disable kernel.Feature
+		path    experiments.Path
 	}{
-		{"buddy-contig", kernel.PhysBuddyAuto, experiments.PathRun},
-		{"lifo-run", kernel.PhysBuddyOff, experiments.PathRun},
-		{"lifo-scattered-batch", kernel.PhysBuddyOff, experiments.PathBatch},
+		{"buddy-contig", 0, experiments.PathRun},
+		{"lifo-run", kernel.FeatureBuddy, experiments.PathRun},
+		{"lifo-scattered-batch", kernel.FeatureBuddy, experiments.PathBatch},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			k, err := experiments.BootContigRecovery(c.phys)
+			k, err := experiments.BootContigRecovery(c.disable)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -553,15 +553,15 @@ func BenchmarkAllocContig(b *testing.B) {
 // numbers surface.
 func BenchmarkAllocDefrag(b *testing.B) {
 	cases := []struct {
-		name string
-		pol  kernel.MigratePolicy
+		name    string
+		disable kernel.Feature
 	}{
-		{"migrate", kernel.MigrateOn},
-		{"no-migrate", kernel.MigrateOff},
+		{"migrate", 0},
+		{"no-migrate", kernel.FeatureMigrate},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			k, err := experiments.BootDefrag(c.pol)
+			k, err := experiments.BootDefrag(c.disable)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -604,15 +604,15 @@ func BenchmarkAllocDefrag(b *testing.B) {
 // where the numbers surface.
 func BenchmarkAllocTier(b *testing.B) {
 	for _, c := range []struct {
-		name  string
-		hints kernel.TierHintPolicy
+		name    string
+		disable kernel.Feature
 	}{
-		{"hinted", kernel.TierHintOn},
-		{"oblivious", kernel.TierHintOff},
+		{"hinted", 0},
+		{"oblivious", kernel.FeatureTierHints},
 	} {
 		for _, workload := range []string{"zipf", "uniform"} {
 			b.Run(c.name+"-"+workload, func(b *testing.B) {
-				k, err := experiments.BootTier(c.hints)
+				k, err := experiments.BootTier(c.disable)
 				if err != nil {
 					b.Fatal(err)
 				}

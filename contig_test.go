@@ -24,9 +24,9 @@ type contigRecoveryResult struct {
 	largestExt int
 }
 
-func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, path experiments.Path, ops int) contigRecoveryResult {
+func driveContigRecovery(t testing.TB, disable kernel.Feature, path experiments.Path, ops int) contigRecoveryResult {
 	t.Helper()
-	k, err := experiments.BootContigRecovery(physBuddy)
+	k, err := experiments.BootContigRecovery(disable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +51,9 @@ func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, path experim
 
 func TestContigPromotionRecovery(t *testing.T) {
 	const ops = 64 * experiments.ContigRecoveryPages
-	buddy := driveContigRecovery(t, kernel.PhysBuddyAuto, experiments.PathRun, ops)
-	lifoRun := driveContigRecovery(t, kernel.PhysBuddyOff, experiments.PathRun, ops)
-	scattered := driveContigRecovery(t, kernel.PhysBuddyOff, experiments.PathBatch, ops)
+	buddy := driveContigRecovery(t, 0, experiments.PathRun, ops)
+	lifoRun := driveContigRecovery(t, kernel.FeatureBuddy, experiments.PathRun, ops)
+	scattered := driveContigRecovery(t, kernel.FeatureBuddy, experiments.PathBatch, ops)
 	t.Logf("buddy run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",
 		buddy.promotions, buddy.walksPage, buddy.contigFrac, buddy.largestExt)
 	t.Logf("lifo run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",
@@ -82,15 +82,13 @@ func TestContigPromotionRecovery(t *testing.T) {
 	}
 }
 
-// TestAllocContigFacade exercises the public knob end to end: PhysBuddy
-// forced on boots the buddy allocator on any engine, AllocContig extents
-// come back aligned, and PhysStats reports through the facade types.
+// TestAllocContigFacade exercises the buddy allocator end to end through
+// the facade: the default sharded kernel boots it, AllocContig extents
+// come back contiguous, and PhysStats reports through the facade types.
 func TestAllocContigFacade(t *testing.T) {
 	k := MustBoot(Config{
 		Platform:     XeonMP(),
 		Mapper:       SFBufKernel,
-		Cache:        CacheGlobal, // Auto would say LIFO here...
-		PhysBuddy:    PhysBuddyOn, // ...but On overrides
 		PhysPages:    2048,
 		CacheEntries: 64,
 	})
@@ -110,12 +108,15 @@ func TestAllocContigFacade(t *testing.T) {
 	for _, pg := range pages {
 		k.M.Phys.Free(pg)
 	}
-	// And the default figure configuration still refuses: its LIFO pool
-	// is the bit-exact seed allocator.
-	g := MustBoot(Config{Platform: XeonMP(), Mapper: SFBufKernel, Cache: CacheGlobal,
-		PhysPages: 256, CacheEntries: 64})
-	if _, err := g.AllocPhysContig(8); !errors.Is(err, ErrNoContig) {
-		t.Fatalf("LIFO AllocPhysContig = %v, want ErrNoContig", err)
+	// The figure configuration and a buddy-disabled kernel both refuse:
+	// their LIFO pool is the bit-exact seed allocator.
+	for _, cfg := range []Config{
+		{Platform: XeonMP(), Mapper: SFBufKernel, Cache: CacheGlobal, PhysPages: 256, CacheEntries: 64},
+		{Platform: XeonMP(), Mapper: SFBufKernel, Disable: FeatureBuddy, PhysPages: 256, CacheEntries: 64},
+	} {
+		if _, err := MustBoot(cfg).AllocPhysContig(8); !errors.Is(err, ErrNoContig) {
+			t.Fatalf("LIFO AllocPhysContig = %v, want ErrNoContig", err)
+		}
 	}
 	if _, err := vm.NewPhysMem(8, false).AllocContig(2, 1); !errors.Is(err, vm.ErrNoContig) {
 		t.Fatal("vm-level LIFO AllocContig must refuse")

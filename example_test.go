@@ -69,10 +69,9 @@ func ExampleBoot_originalKernel() {
 // no TLB presence, and a Private batch taints only the calling CPU.
 // Remapping the same pages is all hits.  When to batch: any multi-page
 // extent handled as a unit — a pipe's loaned window, a memory-disk run,
-// a sendfile burst.  Knob interactions: Config.ReclaimBatch decides how
-// many buffers a shortage mid-batch recycles under one shootdown flush,
-// and Config.ShootdownBatch caps the queue that flush drains; a batch
-// never issues more than one forced flush per reclaim round it triggers.
+// a sendfile burst.  A shortage mid-batch recycles the sharded engine's
+// reclaim batch of buffers under one shootdown flush; a batch never issues
+// more than one forced flush per reclaim round it triggers.
 func ExampleBoot_vectored() {
 	k := root.MustBoot(root.Config{
 		Platform:     root.XeonMPHTT(),
@@ -117,8 +116,8 @@ func ExampleBoot_contiguous() {
 		PhysPages:    128,
 		Backed:       true,
 		CacheEntries: 32,
-		// Contig defaults to Auto: runs wherever the engine provides
-		// native contiguity (the sharded cache does).
+		// Runs are on wherever the engine provides native contiguity
+		// (the sharded cache does) unless Disable holds FeatureRuns.
 	})
 	ctx := k.Ctx(0)
 	pages := make([]*root.Page, 8)
@@ -156,8 +155,8 @@ func ExampleBoot_adaptive() {
 		PhysPages:    128,
 		Backed:       true,
 		CacheEntries: 32,
-		// Contig defaults to Auto, which on the sharded engine is the
-		// adaptive per-consumer policy (ContigAdaptive pins it by name).
+		// The sharded engine runs the adaptive per-consumer policy unless
+		// Disable holds FeatureRuns.
 	})
 	ctx := k.Ctx(0)
 	pages := make([]*root.Page, 8)

@@ -54,8 +54,8 @@ const (
 )
 
 // BootAdaptive boots the canonical adaptive-workload kernel: the 4-way
-// Xeon with the sharded engine (native runs, so ContigAuto resolves to
-// the adaptive policy) and the canonical cache size.
+// Xeon with the sharded engine (native runs, so its consumers run the
+// adaptive policy) and the canonical cache size.
 func BootAdaptive() (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),

@@ -79,7 +79,7 @@ func TestAdaptivePolicyDecisions(t *testing.T) {
 	}
 	ps := stats[0]
 	if !ps.Adaptive {
-		t.Fatal("ContigAuto on the sharded engine must resolve to the adaptive policy")
+		t.Fatal("the sharded engine must run the adaptive policy by default")
 	}
 	if ps.BatchDecisions > ps.RunDecisions/10 {
 		t.Errorf("stream consumer chose batch %d of %d times; must stay on the run path",

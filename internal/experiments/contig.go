@@ -105,15 +105,15 @@ const ContigRecoveryPages = pmap.SuperpagePages
 // BootContigRecovery boots the promotion-recovery rig: a 4-way Xeon
 // running the sharded sf_buf engine with a mapping cache wide enough to
 // hold two superpage-spanning runs, over enough physical memory that the
-// fragmentation warmup leaves intact buddy blocks.  physBuddy selects the
-// frame allocator under test.
-func BootContigRecovery(physBuddy kernel.PhysPolicy) (*kernel.Kernel, error) {
+// fragmentation warmup leaves intact buddy blocks.  disable selects the
+// frame allocator under test: kernel.FeatureBuddy boots the LIFO pool.
+func BootContigRecovery(disable kernel.Feature) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
 		Cache:        kernel.CacheSharded,
 		PhysPages:    32 * ContigRecoveryPages,
 		CacheEntries: 2*ContigRecoveryPages + 64,
-		PhysBuddy:    physBuddy,
+		Disable:      disable,
 	})
 }

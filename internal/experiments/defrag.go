@@ -54,9 +54,10 @@ const (
 
 // BootDefrag boots one arm of the defragmentation experiment: the sharded
 // i386 engine over a backed buddy pool of defragSpans superpage spans,
-// reservation watermarks on, and the given migration policy.  The cache
-// holds two superpage runs so extent windows and churn singles coexist.
-func BootDefrag(migrate kernel.MigratePolicy) (*kernel.Kernel, error) {
+// reservation watermarks on, and the given features disabled (the
+// no-defrag arm disables kernel.FeatureMigrate).  The cache holds two
+// superpage runs so extent windows and churn singles coexist.
+func BootDefrag(disable kernel.Feature) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
@@ -64,9 +65,7 @@ func BootDefrag(migrate kernel.MigratePolicy) (*kernel.Kernel, error) {
 		PhysPages:    defragSpans * pmap.SuperpagePages,
 		Backed:       true,
 		CacheEntries: 2*pmap.SuperpagePages + 64,
-		PhysBuddy:    kernel.PhysBuddyOn,
-		Reserv:       kernel.ReservOn,
-		Migrate:      migrate,
+		Disable:      disable,
 	})
 }
 
@@ -216,9 +215,9 @@ type DefragArm struct {
 // the steady state — closing with the byte oracle and the structural
 // free-list audit, so a corrupting or leaking migration fails the arm
 // rather than skewing its numbers.
-func RunDefragArm(migrate kernel.MigratePolicy, rounds int) (*DefragArm, error) {
+func RunDefragArm(disable kernel.Feature, rounds int) (*DefragArm, error) {
 	span := pmap.SuperpagePages
-	k, err := BootDefrag(migrate)
+	k, err := BootDefrag(disable)
 	if err != nil {
 		return nil, err
 	}
@@ -259,8 +258,8 @@ func RunDefragArm(migrate kernel.MigratePolicy, rounds int) (*DefragArm, error) 
 
 // RunDefrag goes beyond the paper: it measures what superpage reservations
 // plus defragmentation by migration buy a fragmented long-running kernel.
-// Both arms run the identical shaped workload; the only difference is the
-// Migrate knob.  The no-defrag arm shows today's buddy allocator defeated
+// Both arms run the identical shaped workload; the only difference is
+// kernel.FeatureMigrate.  The no-defrag arm shows today's buddy allocator defeated
 // — zero contiguous extents, zero promotions, forever — while the defrag
 // arm's first few evacuations unlock sustained contiguous service at a
 // steady-state cycle cost within noise of the baseline (the criterion
@@ -285,14 +284,14 @@ func RunDefrag(o Options) (*Result, error) {
 		rounds = 4
 	}
 	for _, armCfg := range []struct {
-		name string
-		pol  kernel.MigratePolicy
+		name    string
+		disable kernel.Feature
 	}{
-		{"defrag on", kernel.MigrateOn},
-		{"defrag off", kernel.MigrateOff},
+		{"defrag on", 0},
+		{"defrag off", kernel.FeatureMigrate},
 	} {
 		o.logf("defrag: measuring %s (%d rounds)...", armCfg.name, rounds)
-		arm, err := RunDefragArm(armCfg.pol, rounds)
+		arm, err := RunDefragArm(armCfg.disable, rounds)
 		if err != nil {
 			return nil, fmt.Errorf("defrag %s: %w", armCfg.name, err)
 		}

@@ -54,7 +54,7 @@ func RunNUMA(o Options) (*Result, error) {
 		Notes: []string{
 			"every CPU churns private mappings over frames homed on its own socket (AllocNOn)",
 			"homed = shards grouped by the frame's home socket, per-socket pool sub-stocks, socket-scoped reclaim",
-			"striped = flat global frame hash: shard homes fall round-robin across packages (Config.Homing=off)",
+			"striped = flat global frame hash: shard homes fall round-robin across packages (FeatureHoming disabled)",
 			"rlocks/op and rIPIs/op are the cross-package subsets of lock acquisitions and IPI deliveries",
 		},
 	}
@@ -64,11 +64,11 @@ func RunNUMA(o Options) (*Result, error) {
 	for _, sockets := range []int{2, 4} {
 		plat := arch.XeonNUMA(sockets, 2)
 		for _, armSpec := range []struct {
-			name   string
-			homing kernel.HomingPolicy
+			name    string
+			disable kernel.Feature
 		}{
-			{"homed", kernel.HomingAuto},
-			{"striped", kernel.HomingOff},
+			{"homed", 0},
+			{"striped", kernel.FeatureHoming},
 		} {
 			cfg := kernel.Config{
 				Platform:     plat,
@@ -77,7 +77,7 @@ func RunNUMA(o Options) (*Result, error) {
 				PhysPages:    8*entries + 128,
 				CacheEntries: entries,
 				Sockets:      sockets,
-				Homing:       armSpec.homing,
+				Disable:      armSpec.disable,
 			}
 			k, err := kernel.Boot(cfg)
 			if err != nil {

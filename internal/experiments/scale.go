@@ -160,14 +160,14 @@ func RunScale(o Options) (*Result, error) {
 	// daemon runs exclusively against idle time); the reclaim experiment
 	// measures what the daemon buys the first alloc after each gap.
 	for _, ir := range []struct {
-		name string
-		wm   int
+		name    string
+		disable kernel.Feature
 	}{
-		{"sf_buf sharded idle", -1},
+		{"sf_buf sharded idle", kernel.FeatureDaemon},
 		{"sf_buf sharded idle+daemon", 0},
 	} {
 		cfg := variants[0].cfg
-		cfg.ReclaimWatermark = ir.wm
+		cfg.Disable = ir.disable
 		k, err := kernel.Boot(cfg)
 		if err != nil {
 			return nil, err
@@ -194,11 +194,11 @@ func RunScale(o Options) (*Result, error) {
 	// these rows show it under the scale churn's worst-case sharing.
 	for _, sockets := range []int{2, 4} {
 		for _, hp := range []struct {
-			name   string
-			homing kernel.HomingPolicy
+			name    string
+			disable kernel.Feature
 		}{
-			{"homed", kernel.HomingAuto},
-			{"striped", kernel.HomingOff},
+			{"homed", 0},
+			{"striped", kernel.FeatureHoming},
 		} {
 			cfg := kernel.Config{
 				Platform:     arch.XeonNUMA(sockets, 2),
@@ -207,7 +207,7 @@ func RunScale(o Options) (*Result, error) {
 				PhysPages:    8*entries + 128,
 				CacheEntries: entries,
 				Sockets:      sockets,
-				Homing:       hp.homing,
+				Disable:      hp.disable,
 			}
 			k, err := kernel.Boot(cfg)
 			if err != nil {
@@ -238,13 +238,13 @@ func RunScale(o Options) (*Result, error) {
 		defragRounds = 4
 	}
 	for _, dr := range []struct {
-		name string
-		pol  kernel.MigratePolicy
+		name    string
+		disable kernel.Feature
 	}{
-		{"sf_buf sharded defrag", kernel.MigrateOn},
-		{"sf_buf sharded no-defrag", kernel.MigrateOff},
+		{"sf_buf sharded defrag", 0},
+		{"sf_buf sharded no-defrag", kernel.FeatureMigrate},
 	} {
-		arm, err := RunDefragArm(dr.pol, defragRounds)
+		arm, err := RunDefragArm(dr.disable, defragRounds)
 		if err != nil {
 			return nil, fmt.Errorf("scale %s: %w", dr.name, err)
 		}
@@ -263,13 +263,13 @@ func RunScale(o Options) (*Result, error) {
 	tierAcc := o.scaleInt(12000, 1600)
 	tierWarm := 400 + tierAcc/10
 	for _, tr := range []struct {
-		name  string
-		hints kernel.TierHintPolicy
+		name    string
+		disable kernel.Feature
 	}{
-		{"sf_buf sharded tier hinted", kernel.TierHintOn},
-		{"sf_buf sharded tier oblivious", kernel.TierHintOff},
+		{"sf_buf sharded tier hinted", 0},
+		{"sf_buf sharded tier oblivious", kernel.FeatureTierHints},
 	} {
-		arm, err := RunTierArm(tr.hints, "zipf", tierWarm, tierAcc)
+		arm, err := RunTierArm(tr.disable, "zipf", tierWarm, tierAcc)
 		if err != nil {
 			return nil, fmt.Errorf("scale %s: %w", tr.name, err)
 		}

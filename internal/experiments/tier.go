@@ -53,9 +53,10 @@ const (
 
 // BootTier boots one arm of the tiered-memory experiment: the sharded
 // i386 engine over a backed two-tier buddy pool, reservations off so
-// frame placement is pure allocation order, and the given hint policy —
-// the arms differ in nothing else.
-func BootTier(hints kernel.TierHintPolicy) (*kernel.Kernel, error) {
+// frame placement is pure allocation order, and the given features also
+// disabled (the oblivious arm disables kernel.FeatureTierHints) — the
+// arms differ in nothing else.
+func BootTier(disable kernel.Feature) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
@@ -63,11 +64,9 @@ func BootTier(hints kernel.TierHintPolicy) (*kernel.Kernel, error) {
 		PhysPages:    TierPhysPages,
 		Backed:       true,
 		CacheEntries: 512,
-		PhysBuddy:    kernel.PhysBuddyOn,
-		Reserv:       kernel.ReservOff,
 		Tiers:        2,
 		FastFraction: TierFastFraction,
-		TierHints:    hints,
+		Disable:      kernel.FeatureReserv | disable,
 	})
 }
 
@@ -190,8 +189,8 @@ type TierArm struct {
 // the counters and measures the steady state — closing with the byte
 // oracle and the structural free-list audit, so a corrupting or leaking
 // tier move fails the arm rather than skewing its numbers.
-func RunTierArm(hints kernel.TierHintPolicy, workload string, warmup, accesses int) (*TierArm, error) {
-	k, err := BootTier(hints)
+func RunTierArm(disable kernel.Feature, workload string, warmup, accesses int) (*TierArm, error) {
+	k, err := BootTier(disable)
 	if err != nil {
 		return nil, err
 	}
@@ -260,15 +259,15 @@ func RunTier(o Options) (*Result, error) {
 	accesses := o.scaleInt(12000, 1600)
 	warmup := 400 + accesses/10
 	for _, armCfg := range []struct {
-		name  string
-		hints kernel.TierHintPolicy
+		name    string
+		disable kernel.Feature
 	}{
-		{"hinted", kernel.TierHintOn},
-		{"oblivious", kernel.TierHintOff},
+		{"hinted", 0},
+		{"oblivious", kernel.FeatureTierHints},
 	} {
 		for _, workload := range []string{"zipf", "uniform"} {
 			o.logf("tier: measuring %s/%s (%d accesses)...", armCfg.name, workload, accesses)
-			arm, err := RunTierArm(armCfg.hints, workload, warmup, accesses)
+			arm, err := RunTierArm(armCfg.disable, workload, warmup, accesses)
 			if err != nil {
 				return nil, fmt.Errorf("tier %s/%s: %w", armCfg.name, workload, err)
 			}

@@ -9,6 +9,7 @@ import (
 	"sfbuf/internal/arch"
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/sfbuf"
+	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
 
@@ -88,26 +89,26 @@ func TestCacheEntriesConfig(t *testing.T) {
 	}
 }
 
+// TestShardedCacheKnobs: the sharded engine derives its stripe count and
+// the machine its shootdown flush threshold; the global engine reports a
+// single stripe.
 func TestShardedCacheKnobs(t *testing.T) {
 	k := MustBoot(Config{
-		Platform:       arch.XeonMP(),
-		Mapper:         SFBuf,
-		PhysPages:      64,
-		CacheEntries:   1024,
-		CacheShards:    4,
-		ShootdownBatch: 9,
+		Platform:     arch.XeonMP(),
+		Mapper:       SFBuf,
+		PhysPages:    64,
+		CacheEntries: 1024,
 	})
 	i386, ok := k.Map.(*sfbuf.I386)
 	if !ok {
 		t.Fatal("expected i386 mapper")
 	}
-	if got := i386.Shards(); got != 4 {
-		t.Fatalf("shards = %d, want 4", got)
+	if got := i386.Shards(); got != 2*k.M.NumCPUs() {
+		t.Fatalf("shards = %d, want %d (2 per CPU)", got, 2*k.M.NumCPUs())
 	}
-	if got := k.M.ShootdownBatch(); got != 9 {
-		t.Fatalf("shootdown batch = %d, want 9", got)
+	if got := k.M.ShootdownBatch(); got != smp.DefaultShootdownBatch {
+		t.Fatalf("shootdown batch = %d, want %d", got, smp.DefaultShootdownBatch)
 	}
-	// The global engine reports a single stripe.
 	kg := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal,
 		PhysPages: 64, CacheEntries: 1024})
 	if got := kg.Map.(*sfbuf.I386).Shards(); got != 1 {
@@ -130,35 +131,106 @@ func TestResetClearsCountersAndStats(t *testing.T) {
 	}
 }
 
-func TestPhysBuddyResolution(t *testing.T) {
-	cases := []struct {
-		name  string
-		cfg   Config
-		buddy bool
-	}{
-		{"auto sf_buf sharded", Config{Mapper: SFBuf, Cache: CacheSharded}, true},
-		{"auto sf_buf amd64", Config{Platform: arch.OpteronMP(), Mapper: SFBuf}, true},
-		{"auto sf_buf global", Config{Mapper: SFBuf, Cache: CacheGlobal}, false},
-		{"auto original", Config{Mapper: OriginalKernel}, false},
-		{"forced on, global", Config{Mapper: SFBuf, Cache: CacheGlobal, PhysBuddy: PhysBuddyOn}, true},
-		{"forced off, sharded", Config{Mapper: SFBuf, PhysBuddy: PhysBuddyOff}, false},
+// running reports the features a booted kernel actually runs, read off
+// the machine it built rather than off its configuration.
+func running(k *Kernel) Feature {
+	var f Feature
+	if k.M.Phys.Buddy() {
+		f |= FeatureBuddy
 	}
-	for _, c := range cases {
-		if got := c.cfg.UsesBuddyPhys(); got != c.buddy {
-			t.Errorf("%s: UsesBuddyPhys = %v, want %v", c.name, got, c.buddy)
+	if order, _ := k.M.Phys.Reservation(); order > 0 {
+		f |= FeatureReserv
+	}
+	if k.MigrationEnabled() {
+		f |= FeatureMigrate
+	}
+	if k.TierHintsEnabled() {
+		f |= FeatureTierHints
+	}
+	if k.Arena.Regions() > 1 {
+		f |= FeatureHoming
+	}
+	if k.DaemonEnabled() {
+		f |= FeatureDaemon
+	}
+	if k.UseRuns() {
+		f |= FeatureRuns
+	}
+	return f
+}
+
+// TestBootWiring boots each engine with nothing and with each feature
+// disabled, on a two-socket machine with a tiered pool, and checks what
+// the kernel runs: the engine's features minus the disabled one (and
+// minus everything that lives in the buddy allocator when the buddy
+// allocator is the one disabled), with adaptive consumers exactly where
+// runs meet a bounded mapping cache.
+func TestBootWiring(t *testing.T) {
+	const all = FeatureBuddy | FeatureReserv | FeatureMigrate | FeatureTierHints |
+		FeatureHoming | FeatureDaemon | FeatureRuns
+	const inBuddy = FeatureReserv | FeatureMigrate | FeatureTierHints
+	engines := []struct {
+		name     string
+		cfg      Config
+		supports Feature
+		adaptive bool
+	}{
+		{"sharded i386", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, CacheEntries: 64}, all, true},
+		{"global i386", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, Cache: CacheGlobal, CacheEntries: 64}, 0, false},
+		{"original", Config{Platform: arch.XeonNUMA(2, 2), Mapper: OriginalKernel}, 0, false},
+		{"amd64", Config{Platform: arch.OpteronMP(), Mapper: SFBuf},
+			FeatureBuddy | FeatureReserv | FeatureHoming | FeatureRuns, false},
+	}
+	bits := []Feature{0, FeatureBuddy, FeatureReserv, FeatureMigrate, FeatureTierHints,
+		FeatureHoming, FeatureDaemon, FeatureRuns}
+	for _, e := range engines {
+		for _, off := range bits {
+			t.Run(fmt.Sprintf("%s/disable=%#x", e.name, uint(off)), func(t *testing.T) {
+				cfg := e.cfg
+				cfg.PhysPages, cfg.Sockets, cfg.Tiers, cfg.Disable = 1024, 2, 2, off
+				k, err := Boot(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := e.supports &^ off
+				if off == FeatureBuddy {
+					want &^= inBuddy
+				}
+				if got := running(k); got != want {
+					t.Errorf("running %#x, want %#x", uint(got), uint(want))
+				}
+				adaptive := e.adaptive && off != FeatureRuns
+				if got := k.Consumer("wiring").PolicyStats().Adaptive; got != adaptive {
+					t.Errorf("adaptive consumer = %v, want %v", got, adaptive)
+				}
+			})
 		}
 	}
-	// The booted machine's pool must match the resolution.
-	k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 128, CacheEntries: 32})
-	if !k.M.Phys.Buddy() {
-		t.Error("sharded sf_buf kernel did not boot the buddy allocator")
-	}
-	if st := k.PhysStats(); !st.Buddy || st.Frames != 128 {
-		t.Errorf("PhysStats = %+v", st)
-	}
-	k = MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 128, CacheEntries: 32})
-	if k.M.Phys.Buddy() {
-		t.Error("global-lock figure kernel must keep the LIFO pool under Auto")
+}
+
+// TestBootRejectsConfig: configurations Boot cannot build come back as
+// errors instead of panics or silent clamps.
+func TestBootRejectsConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no platform", Config{}},
+		{"sockets do not divide the CPUs", Config{Platform: arch.XeonMP(), Sockets: 3}},
+		{"negative sockets", Config{Platform: arch.XeonMP(), Sockets: -1}},
+		{"negative physical memory", Config{Platform: arch.XeonMP(), PhysPages: -5}},
+		{"three tiers", Config{Platform: arch.XeonMP(), Tiers: 3}},
+		{"negative tiers", Config{Platform: arch.XeonMP(), Tiers: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Mapper = SFBuf
+			if tc.cfg.PhysPages == 0 {
+				tc.cfg.PhysPages = 64
+			}
+			if k, err := Boot(tc.cfg); err == nil {
+				t.Fatalf("Boot(%+v) booted %s, want an error", tc.cfg, k.Name())
+			}
+		})
 	}
 }
 
@@ -170,19 +242,19 @@ func TestPhysContigAlignHints(t *testing.T) {
 	if got := k.PhysContigAlign(8); got != 1 {
 		t.Errorf("i386 small align = %d, want 1", got)
 	}
-	sp := MustBoot(Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 4096,
-		NumColors: 4, EntriesPerColor: 64})
-	if got := sp.PhysContigAlign(8); got != 4 {
-		t.Errorf("sparc64 color align = %d, want 4", got)
+	sp := MustBoot(Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 4096})
+	colors := sp.Map.(*sfbuf.Sparc64).NumColors()
+	if got := sp.PhysContigAlign(8); got != colors {
+		t.Errorf("sparc64 color align = %d, want %d", got, colors)
 	}
 	// A color-aligned contiguous extent keeps the direct map color-
-	// compatible: frame i's direct-map color is i mod NumColors.
+	// compatible: frame i's direct-map color is i mod the color count.
 	pages, err := sp.AllocPhysContig(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages[0].Frame()%4 != 0 {
-		t.Errorf("sparc64 extent starts at frame %d, want a multiple of 4", pages[0].Frame())
+	if pages[0].Frame()%uint64(colors) != 0 {
+		t.Errorf("sparc64 extent starts at frame %d, want a multiple of %d", pages[0].Frame(), colors)
 	}
 }
 

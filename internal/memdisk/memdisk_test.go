@@ -13,6 +13,11 @@ import (
 )
 
 func bootDiskKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform, cacheEntries int) *kernel.Kernel {
+	return bootDiskKernelWithout(t, mk, plat, cacheEntries, 0)
+}
+
+// bootDiskKernelWithout is bootDiskKernel with the given features disabled.
+func bootDiskKernelWithout(t *testing.T, mk kernel.MapperKind, plat arch.Platform, cacheEntries int, disable kernel.Feature) *kernel.Kernel {
 	t.Helper()
 	k, err := kernel.Boot(kernel.Config{
 		Platform:     plat,
@@ -20,6 +25,7 @@ func bootDiskKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform, cach
 		PhysPages:    1024,
 		Backed:       true,
 		CacheEntries: cacheEntries,
+		Disable:      disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,12 +109,11 @@ func TestPrivateMappingsAvoidShootdowns(t *testing.T) {
 
 func TestDiskFitsInCacheNoInvalidations(t *testing.T) {
 	// The Figure 4/5 configuration: disk fully mapped by the cache.
-	k := bootDiskKernel(t, kernel.SFBuf, arch.XeonMPHTT(), 64)
 	// This test pins the mapping CACHE's reuse property — repeat reads
 	// are pure hash hits with zero invalidations.  Contiguous runs trade
 	// exactly that reuse for ranged translation (every run installs and
 	// tears down fresh PTEs), so hold the subsystem on the cached path.
-	k.Cfg.Contig = kernel.ContigOff
+	k := bootDiskKernelWithout(t, kernel.SFBuf, arch.XeonMPHTT(), 64, kernel.FeatureRuns)
 	d, err := New(k, 32*vm.PageSize)
 	if err != nil {
 		t.Fatal(err)

@@ -362,7 +362,7 @@ func (c *VConn) stageWindow() bool {
 // its own translation, the same cost shape as Stack.checksumChain.
 func (c *VConn) checksumWindow(exts []*mbuf.Ext, winBytes int) error {
 	pm := c.srv.St.K.Pmap
-	ranged := c.srv.St.K.UseRunsSend()
+	ranged := c.srv.St.K.UseRuns()
 	var spanKVA uint64
 	spanLen := 0
 	flush := func() error {

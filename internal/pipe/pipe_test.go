@@ -12,6 +12,11 @@ import (
 )
 
 func bootPipeKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform) *kernel.Kernel {
+	return bootPipeKernelWithout(t, mk, plat, 0)
+}
+
+// bootPipeKernelWithout is bootPipeKernel with the given features disabled.
+func bootPipeKernelWithout(t *testing.T, mk kernel.MapperKind, plat arch.Platform, disable kernel.Feature) *kernel.Kernel {
 	t.Helper()
 	k, err := kernel.Boot(kernel.Config{
 		Platform:     plat,
@@ -19,6 +24,7 @@ func bootPipeKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform) *ker
 		PhysPages:    512,
 		Backed:       true,
 		CacheEntries: 64,
+		Disable:      disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +164,10 @@ func TestOriginalKernelInvalidatesPerPage(t *testing.T) {
 }
 
 func TestSFBufEliminatesInvalidationsOnReuse(t *testing.T) {
-	k := bootPipeKernel(t, kernel.SFBuf, arch.XeonMP())
 	// Pins the mapping CACHE's reuse property (pure hits, zero
 	// invalidations on repeat passes); contiguous runs trade that reuse
 	// for ranged translation, so hold the pipe on the cached path.
-	k.Cfg.Contig = kernel.ContigOff
+	k := bootPipeKernelWithout(t, kernel.SFBuf, arch.XeonMP(), kernel.FeatureRuns)
 	p := New(k)
 	defer p.Close()
 	wctx, rctx := k.Ctx(0), k.Ctx(1)

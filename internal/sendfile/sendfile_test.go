@@ -23,6 +23,11 @@ type rig struct {
 }
 
 func newRig(t *testing.T, mk kernel.MapperKind, plat arch.Platform) *rig {
+	return newRigWithout(t, mk, plat, 0)
+}
+
+// newRigWithout is newRig on a kernel with the given features disabled.
+func newRigWithout(t *testing.T, mk kernel.MapperKind, plat arch.Platform, disable kernel.Feature) *rig {
 	t.Helper()
 	k, err := kernel.Boot(kernel.Config{
 		Platform:     plat,
@@ -30,6 +35,7 @@ func newRig(t *testing.T, mk kernel.MapperKind, plat arch.Platform) *rig {
 		PhysPages:    1024,
 		Backed:       true,
 		CacheEntries: 128,
+		Disable:      disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +122,10 @@ func TestRepeatSendFileHitsMappingCache(t *testing.T) {
 	// first send, the file's page mappings stay cached; subsequent sends
 	// must be pure hits with zero invalidations (the Figure 17/18
 	// sf_buf behaviour).
-	r := newRig(t, kernel.SFBuf, arch.XeonMP())
 	// Pins the mapping CACHE's reuse property; contiguous runs trade
 	// that reuse for ranged translation, so hold sendfile on the cached
 	// path.
-	r.k.Cfg.Contig = kernel.ContigOff
+	r := newRigWithout(t, kernel.SFBuf, arch.XeonMP(), kernel.FeatureRuns)
 	data := make([]byte, 8*fs.BlockSize)
 	if err := r.fsys.WriteFile(r.ctx, "hot.html", data); err != nil {
 		t.Fatal(err)

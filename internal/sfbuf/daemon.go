@@ -17,10 +17,12 @@ import (
 // driven by smp.Machine idle ticks, that does the shortage work ahead of
 // demand and charges it against idle time.
 //
-// One pass, per sharded core, does three things in order:
+// One pass, per sharded core, does three things in order, then a fourth
+// for the whole mapper:
 //
 //  1. Age-bound laundering: parked run windows older than the pool's
-//     LaunderAge are torn down and flushed, so a revivable window's hold
+//     age bound (DefaultLaunderAge; see SetLaunderAge) are torn down and
+//     flushed, so a revivable window's hold
 //     on frames, address space, and TLB masks is bounded by time, not by
 //     the arrival of runLaunderBatch-1 siblings.
 //  2. Watermark refill: while the idling CPU's clean freelist or the
@@ -35,6 +37,9 @@ import (
 //     address-space analogue of buddy coalescing.  (Buddy frame
 //     coalescing itself is eager on free and needs no daemon help; the
 //     deferred coalescing debt in this system lives in the VA arena.)
+//  4. Defragmentation, when the daemon has a Migrator: evacuate one
+//     nearly-free superpage span (migratePerTick) so AllocContig keeps
+//     finding intact blocks.
 //
 // Charging model: daemon work runs on the idling CPU's context and is
 // charged normally — its locks, walks and IPIs are as real as the
@@ -50,10 +55,13 @@ type DaemonConfig struct {
 	// the idling CPU's freelist and to the overflow pool.  0 means half
 	// the per-CPU freelist capacity (minimum 1).
 	Watermark int
-	// LaunderAge, when nonzero, overrides the run pools' parked-window
-	// age bound (see DefaultLaunderAge); negative disables the bound.
-	LaunderAge cycles.Cycles
+	// Migrator, when non-nil, adds defragmentation by migration as the
+	// pass's fourth duty.
+	Migrator *Migrator
 }
+
+// migratePerTick is how many superpage spans one idle tick may evacuate.
+const migratePerTick = 1
 
 // DaemonStats counts background-daemon activity.
 type DaemonStats struct {
@@ -91,12 +99,9 @@ type Daemon struct {
 	cores     []*shardedCache
 	watermark int
 
-	// mig, when set (SetMigrator), adds defragmentation by migration as
-	// the pass's fourth duty: up to migBlocks nearly-free superpage spans
-	// are evacuated per tick, outside the per-core read gate (the
-	// Migrator takes the write side itself).
-	mig       *Migrator
-	migBlocks int
+	// mig, when set, runs the pass's fourth duty outside the per-core
+	// read gate (the Migrator takes the write side itself).
+	mig *Migrator
 
 	passes         atomic.Uint64
 	refills        atomic.Uint64
@@ -140,20 +145,14 @@ func SetLaunderAge(m Mapper, age cycles.Cycles) {
 	}
 }
 
-// NewDaemon builds a background daemon for the mapper's sharded cores,
-// applying cfg.LaunderAge to their run pools.  Returns nil if the mapper
+// NewDaemon builds a background daemon for the mapper's sharded cores.
+// Returns nil if the mapper
 // has no sharded cores (the global-lock figure engines and the amd64
 // direct map have no clean stock to refill and no windows to launder).
 func NewDaemon(m Mapper, cfg DaemonConfig) *Daemon {
 	cores := shardedCores(m)
 	if len(cores) == 0 {
 		return nil
-	}
-	switch {
-	case cfg.LaunderAge > 0:
-		SetLaunderAge(m, cfg.LaunderAge)
-	case cfg.LaunderAge < 0:
-		SetLaunderAge(m, 0)
 	}
 	wm := cfg.Watermark
 	if wm <= 0 {
@@ -169,20 +168,10 @@ func NewDaemon(m Mapper, cfg DaemonConfig) *Daemon {
 	return &Daemon{
 		cores:        cores,
 		watermark:    wm,
+		mig:          cfg.Migrator,
 		refilledSock: make([]atomic.Uint64, nsock),
 		trimmedSock:  make([]atomic.Uint64, nsock),
 	}
-}
-
-// SetMigrator registers defragmentation by migration as the daemon's
-// fourth duty: each pass with budget left runs one MigrateBlocks round
-// with the given per-tick block budget.  A nil migrator (or blocks <= 0)
-// leaves the daemon as it was.
-func (d *Daemon) SetMigrator(mig *Migrator, blocks int) {
-	if d == nil || mig == nil || blocks <= 0 {
-		return
-	}
-	d.mig, d.migBlocks = mig, blocks
 }
 
 // Run is the idle-tick entry point (an smp.IdleWork).  It spends up to
@@ -239,7 +228,7 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 	// trigger (kernel.AllocPhysContig on contiguity failure) still covers
 	// demand the daemon has not met.
 	if d.mig != nil && within() {
-		if n := d.mig.MigrateBlocks(ctx, d.migBlocks); n > 0 {
+		if n := d.mig.MigrateBlocks(ctx, migratePerTick); n > 0 {
 			d.migBlocksFreed.Add(uint64(n))
 		}
 		d.migRounds.Add(1)

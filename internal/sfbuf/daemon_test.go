@@ -120,7 +120,8 @@ func TestDaemonLaundersParkedWindowOnIdle(t *testing.T) {
 	}
 	r.sf.FreeRun(ctx, run)
 
-	d := NewDaemon(r.sf, DaemonConfig{LaunderAge: 1 << 17})
+	SetLaunderAge(r.sf, 1<<17)
+	d := NewDaemon(r.sf, DaemonConfig{})
 	if d == nil {
 		t.Fatal("NewDaemon returned nil for a sharded engine")
 	}
@@ -226,7 +227,8 @@ func TestDaemonTrimsSurplusCleanWindows(t *testing.T) {
 	}
 	freeBefore := ws.LargestFreeRun
 
-	d := NewDaemon(r.sf, DaemonConfig{LaunderAge: 1 << 17})
+	SetLaunderAge(r.sf, 1<<17)
+	d := NewDaemon(r.sf, DaemonConfig{})
 	r.m.RegisterIdleWork(d.Run)
 	r.m.Idle(0, 1<<20) // pass sees young windows; the tick ages them all
 	r.m.Idle(0, 1<<20) // launder the aged dozen, then trim the surplus
@@ -255,7 +257,8 @@ func TestDaemonTrimsSurplusCleanWindows(t *testing.T) {
 // background pass takes the same locks as the foreground paths.
 func TestDaemonRaceStress(t *testing.T) {
 	r := newShardedRig(t, arch.XeonMPHTT(), 64, ShardedConfig{})
-	d := NewDaemon(r.sf, DaemonConfig{Watermark: 8, LaunderAge: 2048})
+	SetLaunderAge(r.sf, 2048)
+	d := NewDaemon(r.sf, DaemonConfig{Watermark: 8})
 	r.m.RegisterIdleWork(d.Run)
 
 	pages := make([]*vm.Page, 32)

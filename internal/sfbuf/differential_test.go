@@ -659,7 +659,8 @@ func TestDifferentialIdleGaps(t *testing.T) {
 			// A short age bound so the gaps genuinely launder windows out
 			// from under the revive-heavy trace; a watermark so the gaps
 			// also run refill rounds against the trace's inactive lists.
-			if d := NewDaemon(e.sf, DaemonConfig{Watermark: 2, LaunderAge: 5000}); d != nil {
+			SetLaunderAge(e.sf, 5000)
+			if d := NewDaemon(e.sf, DaemonConfig{Watermark: 2}); d != nil {
 				e.m.RegisterIdleWork(d.Run)
 			}
 			got := replayTrace(t, e, ops)

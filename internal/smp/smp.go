@@ -231,7 +231,7 @@ func NewMachine(p arch.Platform, frames int, backed bool) *Machine {
 
 // NewMachineWithPhys builds a machine over a caller-constructed physical
 // memory pool — how the kernel boots the buddy frame allocator
-// (vm.NewBuddyPhysMem) behind the Config.PhysBuddy knob while the
+// (vm.NewBuddyPhysMem) on the sf_buf kernel's modern engines while the
 // figure-reproduction configurations keep the seed's LIFO pool and its
 // bit-exact allocation order.
 func NewMachineWithPhys(p arch.Platform, phys *vm.PhysMem) *Machine {
